@@ -10,6 +10,7 @@ code 3.  Exit codes: 0 success, 1 config error, 2 numerical failure,
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from nonholo import camassaholm, distributions, driving, liealg, loopgroup
 from nonholo import masstransport, oddfluid, skate, snake, trajectory
 from nonholo.errors import (
     DomainExceeded,
+    JetTableTooLarge,
     NegativeDensity,
     NonFinite,
     SingularGram,
@@ -51,6 +53,21 @@ EXIT_CHECK = 3
 # config plumbing
 
 
+def _is_real(value):
+    """A finite JSON number; booleans do not count as numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_count(value):
+    """A JSON integer that is not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(cfg, key, kind=None, where=""):
     if key not in cfg:
         raise ConfigError(f"missing config key {where}{key!r}")
@@ -68,22 +85,22 @@ def _reject_unknown(cfg, allowed, where="config"):
 
 def _positive(cfg, key, where=""):
     value = cfg[key]
-    if not isinstance(value, (int, float)) or not value > 0:
+    if not _is_real(value) or not value > 0:
         raise ConfigError(f"config key {where}{key!r} must be positive, got {value!r}")
     return float(value)
 
 
 def _t_span(cfg):
     ts = _require(cfg, "t_span", list)
-    if len(ts) != 2 or not all(isinstance(v, (int, float)) for v in ts) or ts[1] <= ts[0]:
-        raise ConfigError("config key 't_span' must be [t0, t1] with t1 > t0")
+    if len(ts) != 2 or not all(_is_real(v) for v in ts) or ts[1] <= ts[0]:
+        raise ConfigError("config key 't_span' must be [t0, t1] of finite numbers with t1 > t0")
     return float(ts[0]), float(ts[1])
 
 
 def _stepper(cfg):
     dt = cfg.get("dt", 1e-3)
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        raise ConfigError("config key 'dt' must be positive")
+    if not _is_real(dt) or dt <= 0:
+        raise ConfigError("config key 'dt' must be a positive finite number")
     return Stepper.rk4(float(dt))
 
 
@@ -285,23 +302,26 @@ _FLAG_KEYS = {"kind", "n", "s", "l", "points", "tol", "checks"}
 def _flag_distribution(cfg):
     kind = _require(cfg, "kind", str)
     n = cfg.get("n", 0)
-    if not isinstance(n, int) or n < 0:
+    if not _is_count(n) or n < 0:
         raise ConfigError("config key 'n' must be a nonnegative integer")
+    l = cfg.get("l", 1.0)
+    if not _is_real(l) or l <= 0:
+        raise ConfigError("config key 'l' must be a positive finite number")
     if kind == "unicycle":
         return distributions.unicycle_fields(), 3
     if kind == "trailer":
         return distributions.trailer_fields(n), n + 3
     if kind == "car":
-        return distributions.car_fields(cfg.get("l", 1.0)), 4
+        return distributions.car_fields(l), 4
     if kind == "car-trailer":
-        return distributions.car_trailer_fields(n, cfg.get("l", 1.0)), n + 4
+        return distributions.car_trailer_fields(n, l), n + 4
     if kind == "goursat":
         if n < 3:
             raise ConfigError("goursat normal form needs n >= 3")
         return distributions.goursat_normal_form(n), n
     if kind == "cartan":
         s = cfg.get("s", 1)
-        if not isinstance(s, int) or s < 1:
+        if not _is_count(s) or s < 1:
             raise ConfigError("config key 's' must be a positive integer")
         return distributions.cartan_distribution(s), s + 2
     raise ConfigError(f"unknown distribution kind {kind!r}")
@@ -333,16 +353,20 @@ def run_flag(cfg, rng):
     _reject_unknown(cfg, _FLAG_KEYS)
     dist, dim = _flag_distribution(cfg)
     points = cfg.get("points", 20)
-    if not isinstance(points, int) or points < 1:
+    if not _is_count(points) or points < 1:
         raise ConfigError("config key 'points' must be a positive integer")
     tol = cfg.get("tol", distributions.DEFAULT_RANK_TOL)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise ConfigError("config key 'tol' must be positive")
+    if not _is_real(tol) or tol <= 0:
+        raise ConfigError("config key 'tol' must be a positive finite number")
     kind = cfg["kind"]
     reports = []
-    for _ in range(points):
-        p = generic_point(kind, dim, rng)
-        reports.append(distributions.derived_flag(dist, p, tol=tol))
+    try:
+        for _ in range(points):
+            p = generic_point(kind, dim, rng)
+            reports.append(distributions.derived_flag(dist, p, tol=tol))
+    except JetTableTooLarge as exc:
+        key = "s" if kind == "cartan" else "n"
+        raise ConfigError(f"config key {key!r} is too large for the derived flag: {exc}") from exc
     non_goursat = sum(0 if r.goursat else 1 for r in reports)
     summary = {
         "kind": kind,

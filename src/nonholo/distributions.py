@@ -13,6 +13,7 @@ import numpy as np
 
 from nonholo.errors import DimensionMismatch, SteeringOutOfRange
 from nonholo.numkit import Jet, jet_variables, numerical_rank
+from nonholo.numkit.jets import derivative_along, n_monomials
 from nonholo.numkit.dual import Dual, cos, generic_jacobian, sin, tan
 from nonholo.numkit.rank import DEFAULT_RANK_TOL
 
@@ -104,27 +105,21 @@ def lie_bracket(V, W):
 # jet-side machinery for derived flags
 
 
-def _as_jet(c, nvars, deg):
-    return c if isinstance(c, Jet) else Jet.constant(c, nvars, deg)
-
-
 def field_jet(V, point, deg):
-    """Taylor expansion of V at point through total degree deg."""
-    out = V(jet_variables([float(x) for x in point], deg))
-    return [_as_jet(c, V.dim, deg) for c in out]
+    """Taylor expansion of V at point through total degree deg, as one vector jet."""
+    n = V.dim
+    coef = np.zeros((n, n_monomials(n, deg)))
+    for row, c in zip(coef, V(jet_variables([float(x) for x in point], deg))):
+        if isinstance(c, Jet):
+            row[:] = c.coef
+        else:
+            row[0] = c
+    return Jet(n, deg, coef)
 
 
 def jet_bracket(vj, wj):
-    """Bracket of two jet vector fields (exact polynomial algebra)."""
-    n = len(vj)
-    out = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            term = vj[j] * wj[i].diff(j) - wj[j] * vj[i].diff(j)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    """Bracket [V, W] = V(W) - W(V) of two field jets (exact polynomial algebra)."""
+    return derivative_along(vj, wj) - derivative_along(wj, vj)
 
 
 def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
@@ -134,8 +129,14 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
     bracket algebra is exact polynomial arithmetic.  Before each level the
     accumulated list is reduced to a pointwise frame (deterministic greedy
     selection in creation order), which spans the same sheaf near a generic
-    point, and only frame pairs are bracketed.  Stops early once the chart
-    dimension is reached or the dimensions stagnate.
+    point, and only frame pairs not bracketed at an earlier level are
+    bracketed.  Stops early once the chart dimension is reached or the
+    dimensions stagnate.
+
+    The jets need a product table of C(2n + b, b) index pairs for chart
+    dimension n and degree budget b (n - 2 for rank-2 distributions); above
+    ``MAX_TABLE_PAIRS`` (500 000; the trailer system with 6 trailers, n = 9,
+    needs 480 700) ``JetTableTooLarge`` is raised before any table is built.
     """
     n = dist.dim
     if max_depth is not None and max_depth < 0:
@@ -147,20 +148,20 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
     limit = n if max_depth is None else max_depth
 
     jets = [field_jet(g, point, budget) for g in dist.generators]
-    values = [np.array([c.value for c in jf]) for jf in jets]
+    values = [jf.value for jf in jets]
+    bracketed = set()
     dims = [dims0]
     depth = 0
 
     while depth < limit and dims[-1] < n:
         depth += 1
         frame_idx = _greedy_frame(values, tol)
-        new = [
-            jet_bracket(jets[i], jets[j])
-            for a, i in enumerate(frame_idx)
-            for j in frame_idx[a + 1 :]
-        ]
-        jets.extend(new)
-        values.extend(np.array([c.value for c in jf]) for jf in new)
+        for a, i in enumerate(frame_idx):
+            for j in frame_idx[a + 1 :]:
+                if (i, j) not in bracketed:
+                    bracketed.add((i, j))
+                    jets.append(jet_bracket(jets[i], jets[j]))
+                    values.append(jets[-1].value)
         dims.append(numerical_rank(values, tol))
         if dims[-1] == dims[-2]:
             break
@@ -341,11 +342,6 @@ def cartan_distribution(s):
 def cartan_form_residuals(s, point, vector):
     """Values of the s contact forms on ``vector`` at ``point``."""
     return [vector[i] - point[i + 1] * vector[0] for i in range(1, s + 1)]
-
-
-def prolongation_point(f_derivs, x):
-    """Point of the s-jet chart on the lift of a function: (x, f, f', ..)."""
-    return [x] + list(f_derivs)
 
 
 def forgetful_projection_check(point4, l=1.0, tol=None):

@@ -29,5 +29,9 @@ class NegativeDensity(ArithmeticError):
     """Fluid density dropped to or below the positivity floor."""
 
 
+class JetTableTooLarge(ValueError):
+    """A jet product table would exceed its fixed size cap."""
+
+
 class UnknownColumn(KeyError):
     """A referenced trajectory column does not exist."""

@@ -1,79 +1,187 @@
-"""Truncated multivariate Taylor polynomials (jets).
+"""Truncated multivariate Taylor polynomials (jets), stored densely.
 
 Evaluating a chart map once on jet-valued coordinates yields its full Taylor
 expansion at a point up to a degree budget.  Lie brackets of jet vector
 fields are then exact polynomial algebra, which keeps deep derived-flag
 computations cheap: the value at the base point of a bracket nested d deep
 only needs the original fields expanded to degree d.
+
+A jet keeps its coefficients in a float array in graded monomial order: the
+constant term, then x_1 .. x_n, then the quadratic monomials, and so on
+(descending lexicographic order within each degree).  The order does not
+depend on the budget, so truncating a jet to a lower degree takes a prefix.
+Leading array axes are components: a vector field's expansion is one jet
+whose coefficients have shape (n, N).
+
+Products and derivatives run on index tables built once per number of
+variables, lazily and vectorised (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).  The product table lists every
+pair (a, b) of monomials with |a| + |b| <= deg, sorted by the index of a*b,
+so a product truncated at degree d is a prefix of the table: one gather,
+one multiply and one segmented sum.  A derivative d/dx_j is a gather plus a
+scale.  The table holds C(2 nvars + deg, deg) pairs; tables above
+``MAX_TABLE_PAIRS`` are refused with ``JetTableTooLarge``.
 """
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from nonholo.errors import JetTableTooLarge
+
+MAX_TABLE_PAIRS = 500_000
+
+
+def n_monomials(nvars, deg):
+    """Number of monomials in nvars variables of total degree <= deg."""
+    return math.comb(nvars + deg, deg)
+
+
+@dataclass(frozen=True)
+class _Table:
+    deg: int
+    start: np.ndarray     # start[d]: index of the first monomial of degree d (length deg + 2)
+    exps: np.ndarray      # (N, nvars) exponents in graded order
+    left: np.ndarray      # product pairs (left[p], right[p]) -> monomial out[p], sorted by out
+    right: np.ndarray
+    seg: np.ndarray       # seg[c]: first pair whose product is monomial c
+    npairs: np.ndarray    # npairs[d]: number of pairs with product degree <= d
+    up: np.ndarray        # up[j, m]: index of m * x_j, for m of degree < deg
+    scale: np.ndarray     # scale[j, m]: exponent of x_j in m * x_j
+
+    def size(self, d):
+        return int(self.start[d + 1])
+
+
+# nvars -> the table of the largest degree built so far.  A table restricted
+# to a lower degree equals the table built for that degree, pair order
+# included, so results do not depend on which tables were built before.
+_TABLES = {}
+
+
+def _index(exps, start, comb):
+    """Graded-order index of each exponent row of ``exps`` (shape (..., nvars))."""
+    nvars = exps.shape[-1]
+    rest = exps.sum(axis=-1, dtype=np.intp)
+    idx = start[rest]
+    for k in range(nvars - 1):
+        # monomials of the same degree that precede: same exponents before
+        # position k, a larger one at k
+        rest = rest - exps[..., k]
+        m = nvars - 1 - k
+        idx = idx + comb[np.maximum(rest - 1, 0) + m, m] * (rest > 0)
+    return idx
+
+
+def _build(nvars, deg):
+    pairs = math.comb(2 * nvars + deg, deg)
+    if pairs > MAX_TABLE_PAIRS:
+        raise JetTableTooLarge(
+            f"degree-{deg} jets in {nvars} variables need a product table of "
+            f"{pairs} pairs, above the cap of {MAX_TABLE_PAIRS}")
+    start = np.array([0] + [n_monomials(nvars, d) for d in range(deg + 1)], dtype=np.intp)
+    size = int(start[-1])
+    comb = np.array([[math.comb(a, b) for b in range(nvars + 1)]
+                     for a in range(deg + nvars + 1)], dtype=np.intp)
+    eye = np.eye(nvars, dtype=np.int16)
+
+    exps = np.zeros((size, nvars), dtype=np.int16)
+    for d in range(1, deg + 1):
+        cand = (exps[start[d - 1]:start[d], None, :] + eye).reshape(-1, nvars)
+        exps[_index(cand, start, comb)] = cand
+
+    degree = exps.sum(axis=1, dtype=np.intp)
+    counts = start[deg - degree + 1]
+    left = np.repeat(np.arange(size), counts)
+    right = np.arange(pairs) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = _index(exps[left] + exps[right], start, comb)
+    order = np.lexsort((left, out))
+    left, right, out = left[order], right[order], out[order]
+    seg = np.searchsorted(out, np.arange(size))
+    npairs = np.searchsorted(out, start[1:])
+
+    below = exps[:start[deg]]
+    up = _index(below[None, :, :] + eye[:, None, :], start, comb)
+    scale = below.T + 1.0
+    return _Table(deg, start, exps, left, right, seg, npairs, up, scale)
+
+
+def _table(nvars, deg):
+    """Index tables for nvars variables through at least degree deg."""
+    table = _TABLES.get(nvars)
+    if table is None or table.deg < deg:
+        table = _TABLES[nvars] = _build(nvars, deg)
+    return table
+
+
+def _product(a, b, nvars, deg):
+    t = _table(nvars, deg)
+    p = t.npairs[deg]
+    return np.add.reduceat(a[..., t.left[:p]] * b[..., t.right[:p]], t.seg[:t.size(deg)],
+                           axis=-1)
+
+
+def monomials(nvars, deg):
+    """Exponents of the monomials of degree <= deg, in coefficient order."""
+    return _table(nvars, deg).exps[:n_monomials(nvars, deg)].copy()
 
 
 class Jet:
-    """Polynomial in ``nvars`` variables, accurate through total degree ``deg``."""
+    """Polynomial in ``nvars`` variables, accurate through total degree ``deg``.
+
+    ``coef[..., k]`` is the coefficient of the k-th monomial in graded order;
+    leading axes, if any, index the components of a vector-valued jet.
+    """
 
     __slots__ = ("nvars", "deg", "coef")
 
     def __init__(self, nvars, deg, coef=None):
         self.nvars = nvars
         self.deg = deg
-        self.coef = coef if coef is not None else {}
+        self.coef = np.zeros(n_monomials(nvars, deg)) if coef is None else coef
 
     @classmethod
     def constant(cls, c, nvars, deg):
-        coef = {(0,) * nvars: float(c)} if c != 0.0 else {}
+        coef = np.zeros(n_monomials(nvars, deg))
+        coef[0] = c
         return cls(nvars, deg, coef)
 
     @property
     def value(self):
-        """Value at the expansion point (the constant term)."""
-        return self.coef.get((0,) * self.nvars, 0.0)
-
-    def _like(self, other):
-        if isinstance(other, Jet):
-            if other.nvars != self.nvars:
-                raise ValueError("jets on different variable sets")
-            return other
-        return Jet.constant(other, self.nvars, self.deg)
+        """Value at the expansion point (the constant term); an array for vector jets."""
+        v = self.coef[..., 0]
+        return float(v) if v.ndim == 0 else v
 
     def __add__(self, other):
-        other = self._like(other)
+        if not isinstance(other, Jet):
+            coef = self.coef.copy()
+            coef[..., 0] += other
+            return Jet(self.nvars, self.deg, coef)
+        if other.nvars != self.nvars:
+            raise ValueError("jets on different variable sets")
         deg = min(self.deg, other.deg)
-        coef = {k: v for k, v in self.coef.items() if sum(k) <= deg}
-        for k, v in other.coef.items():
-            if sum(k) <= deg:
-                coef[k] = coef.get(k, 0.0) + v
-        return Jet(self.nvars, deg, coef)
+        m = n_monomials(self.nvars, deg)
+        return Jet(self.nvars, deg, self.coef[..., :m] + other.coef[..., :m])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, self.deg, {k: -v for k, v in self.coef.items()})
+        return Jet(self.nvars, self.deg, -self.coef)
 
     def __sub__(self, other):
-        return self + (-self._like(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            if other == 0.0:
-                return Jet(self.nvars, self.deg, {})
-            return Jet(self.nvars, self.deg, {k: v * other for k, v in self.coef.items()})
+            return Jet(self.nvars, self.deg, self.coef * other)
         if other.nvars != self.nvars:
             raise ValueError("jets on different variable sets")
         deg = min(self.deg, other.deg)
-        coef = {}
-        for ka, va in self.coef.items():
-            da = sum(ka)
-            for kb, vb in other.coef.items():
-                if da + sum(kb) > deg:
-                    continue
-                k = tuple(a + b for a, b in zip(ka, kb))
-                coef[k] = coef.get(k, 0.0) + va * vb
-        return Jet(self.nvars, deg, coef)
+        return Jet(self.nvars, deg, _product(self.coef, other.coef, self.nvars, deg))
 
     __rmul__ = __mul__
 
@@ -95,27 +203,21 @@ class Jet:
 
     def diff(self, i):
         """Partial derivative in variable i; degree budget drops by one."""
-        coef = {}
-        for k, v in self.coef.items():
-            if k[i] == 0:
-                continue
-            kk = list(k)
-            kk[i] -= 1
-            coef[tuple(kk)] = v * k[i]
-        return Jet(self.nvars, max(self.deg - 1, 0), coef)
-
-    def _nilpotent(self):
-        zero = (0,) * self.nvars
-        return Jet(self.nvars, self.deg, {k: v for k, v in self.coef.items() if k != zero})
+        if self.deg == 0:
+            return Jet(self.nvars, 0, np.zeros_like(self.coef))
+        t = _table(self.nvars, self.deg)
+        m = t.size(self.deg - 1)
+        return Jet(self.nvars, self.deg - 1, self.coef[..., t.up[i, :m]] * t.scale[i, :m])
 
     def _compose_series(self, derivs):
         """sum derivs[k]/k! * (self - value)^k, derivs at the constant term."""
-        g = self._nilpotent()
+        g = self - self.value
         out = Jet.constant(derivs[0], self.nvars, self.deg)
-        gk = Jet.constant(1.0, self.nvars, self.deg)
+        gk = g
         for k in range(1, self.deg + 1):
-            gk = gk * g
-            if not gk.coef:
+            if k > 1:
+                gk = gk * g
+            if not gk.coef.any():
                 break
             out = out + gk * (derivs[k] / math.factorial(k))
         return out
@@ -158,7 +260,7 @@ class Jet:
         return self._compose_series(derivs)
 
     def __repr__(self):
-        return f"Jet(deg={self.deg}, {self.coef!r})"
+        return f"Jet(nvars={self.nvars}, deg={self.deg}, {self.coef!r})"
 
 
 def jet_variables(point, deg):
@@ -166,9 +268,48 @@ def jet_variables(point, deg):
     n = len(point)
     out = []
     for i, p in enumerate(point):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        coef = {e: 1.0}
-        if p != 0.0:
-            coef[(0,) * n] = float(p)
-        out.append(Jet(n, deg, coef))
+        jet = Jet.constant(p, n, deg)
+        if deg > 0:
+            jet.coef[1 + i] = 1.0
+        out.append(jet)
     return out
+
+
+def derivative_along(field, f):
+    """sum_j field_j * df/dx_j: the derivative of jet ``f`` along a vector jet.
+
+    ``field.coef`` has shape (nvars, N); ``f`` may be scalar or vector
+    valued.  The result is accurate through one degree less than the
+    inputs.  Components of ``field`` that vanish are skipped, and a factor
+    that is constant scales the other instead of going through the product
+    table, so sparse linear fields stay cheap.  Temporaries are at most
+    (components of f) x (table pairs) in size.
+    """
+    nvars = field.nvars
+    deg = min(field.deg, f.deg) - 1
+    if deg < 0:
+        raise ValueError("derivative of a degree-0 jet")
+    t = _table(nvars, deg + 1)
+    m, p = t.size(deg), t.npairs[deg]
+    shape = f.coef.shape[:-1]
+    fc = f.coef.reshape(-1, f.coef.shape[-1])
+    out = np.zeros((fc.shape[0], m))
+    acc = None
+    for j in range(nvars):
+        vj = field.coef[j, :m]
+        if not vj.any():
+            continue
+        df = fc[:, t.up[j, :m]] * t.scale[j, :m]
+        if not df.any():
+            continue
+        if not vj[1:].any():
+            out += vj[0] * df
+        elif not df[:, 1:].any():
+            out += df[:, :1] * vj
+        else:
+            if acc is None:
+                acc = np.zeros((fc.shape[0], p))
+            acc += vj[t.left[:p]] * df[:, t.right[:p]]
+    if acc is not None:
+        out += np.add.reduceat(acc, t.seg[:m], axis=-1)
+    return Jet(nvars, deg, out.reshape(shape + (m,)))

@@ -10,7 +10,7 @@ def numerical_rank(vectors, tol=DEFAULT_RANK_TOL):
 
     An empty list, or a list of zero vectors, has rank 0.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     if not vectors:

@@ -111,6 +111,8 @@ def step(rhs, t, y, stepper):
 def integrate(rhs, y0, t_span, stepper, record_every=1, observer=None):
     """Integrate rhs over t_span; returns (times, states) arrays.
 
+    RK4 takes steps of ``stepper.dt``; when the span is not a multiple of
+    dt, the last step is shortened so that the final sample is at t1.
     States are recorded every ``record_every`` accepted steps (plus the final
     state).  ``observer(t, y)``, when given, is called at each recorded
     sample and may be used for ledgers.
@@ -118,26 +120,37 @@ def integrate(rhs, y0, t_span, stepper, record_every=1, observer=None):
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
     _check_finite(y, "initial state")
-    times = [t0]
-    states = [y.copy()]
-    if observer is not None:
-        observer(t0, y)
+    times = []
+    states = []
+
+    def record(t, y):
+        times.append(t)
+        states.append(y.copy())
+        if observer is not None:
+            observer(t, y)
+
+    record(t0, y)
     t = t0
     k = 0
     if stepper.scheme == "rk4":
-        nsteps = int(round((t1 - t0) / stepper.dt))
-        if abs(t0 + nsteps * stepper.dt - t1) > 1e-9 * max(1.0, abs(t1)):
-            nsteps = int(np.ceil((t1 - t0) / stepper.dt - 1e-12))
+        dt = stepper.dt
+        nsteps = int(round((t1 - t0) / dt))
+        exact = abs(t0 + nsteps * dt - t1) <= 1e-9 * max(1.0, abs(t1))
+        if not exact:
+            # full steps first; one shortened step then lands on t1
+            nsteps = int(np.ceil((t1 - t0) / dt - 1e-12)) - 1
+        final = nsteps - 1 if exact else -1
         for i in range(nsteps):
-            y = _rk4_step(lambda tt, yy: rhs(tt, yy), t, y, stepper.dt)
+            y = _rk4_step(rhs, t, y, dt)
             _check_finite(y, "state during integration")
-            t = t0 + (i + 1) * stepper.dt
+            t = t0 + (i + 1) * dt
             k += 1
-            if k % record_every == 0 or i == nsteps - 1:
-                times.append(t)
-                states.append(y.copy())
-                if observer is not None:
-                    observer(t, y)
+            if k % record_every == 0 or i == final:
+                record(t, y)
+        if not exact:
+            y = _rk4_step(rhs, t, y, t1 - t)
+            _check_finite(y, "state during integration")
+            record(t1, y)
         return np.array(times), np.array(states)
 
     dt_next = stepper.dt
@@ -148,8 +161,5 @@ def integrate(rhs, y0, t_span, stepper, record_every=1, observer=None):
         dt_next = min(stepper.dt_max, 2.0 * used)
         k += 1
         if k % record_every == 0 or t >= t1 - 1e-14:
-            times.append(t)
-            states.append(y.copy())
-            if observer is not None:
-                observer(t, y)
+            record(t, y)
     return np.array(times), np.array(states)

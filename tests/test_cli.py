@@ -112,6 +112,33 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL and "SteeringOutOfRange" in err
 
 
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("flag", {"kind": "trailer", "n": 1, "points": 2, "tol": float("nan")}, "tol"),
+        ("flag", {"kind": "trailer", "n": 1, "points": 2, "tol": True}, "tol"),
+        ("flag", {"kind": "trailer", "n": 1, "points": True}, "points"),
+        ("flag", {"kind": "trailer", "n": True, "points": 2}, "n"),
+        ("flag", {"kind": "cartan", "s": True, "points": 2}, "s"),
+        ("flag", {"kind": "car", "l": True, "points": 2}, "l"),
+        ("skate", {"system": "lda", "t_span": [0, 1], "dt": float("nan")}, "dt"),
+        ("skate", {"system": "lda", "t_span": [0, float("inf")], "dt": 1e-3}, "t_span"),
+        ("skate", {"system": "lda", "t_span": [0, 1], "dt": True}, "dt"),
+    ])
+    def test_bool_and_nonfinite_numbers_name_the_field(self, tmp_path, command, cfg, field):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG and out == ""
+        assert f"config key {field!r}" in err
+
+    @pytest.mark.parametrize("cfg, field", [
+        ({"kind": "trailer", "n": 7, "points": 1}, "n"),
+        ({"kind": "goursat", "n": 10, "points": 1}, "n"),
+        ({"kind": "cartan", "s": 8, "points": 1}, "s"),
+    ])
+    def test_flag_beyond_the_jet_table_cap_names_the_size(self, tmp_path, cfg, field):
+        code, _, err = run_cli(["flag", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG
+        assert f"config key {field!r}" in err and "500000" in err
+
+
 class TestArtifacts:
     def test_skate_outputs(self, tmp_path):
         out_dir = tmp_path / "art"

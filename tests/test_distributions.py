@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nonholo import distributions
 from nonholo.distributions import (
     Distribution,
     VectorField,
@@ -20,7 +21,8 @@ from nonholo.distributions import (
     trailer_fields,
     unicycle_fields,
 )
-from nonholo.errors import DimensionMismatch, SteeringOutOfRange
+from nonholo.errors import DimensionMismatch, JetTableTooLarge, SteeringOutOfRange
+from nonholo.numkit import jets
 
 
 def rand_points(rng, dim, count, scale=0.8):
@@ -97,7 +99,7 @@ def test_jet_bracket_matches_dual_bracket_value():
         vj = field_jet(V, q, 2)
         wj = field_jet(W, q, 2)
         jb = jet_bracket(vj, wj)
-        assert np.allclose([c.value for c in jb], br.at(q), atol=1e-12)
+        assert np.allclose(jb.value, br.at(q), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def test_forgetful_projection_residual_and_rank():
 # derived flags
 
 
-@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("n", range(6))
 def test_trailer_flags_grow_by_one(n):
     rng = np.random.default_rng(100 + n)
     d = trailer_fields(n)
@@ -193,6 +195,31 @@ def test_jet_space_flags_grow_by_one(s):
     rep = derived_flag(cartan_distribution(s), rand_points(rng, s + 2, 1)[0])
     assert rep.dims == list(range(2, s + 3))
     assert rep.goursat
+
+
+@pytest.mark.parametrize("n, brackets", [(4, 15), (5, 21)])
+def test_derived_flag_brackets_each_pair_once(monkeypatch, n, brackets):
+    calls = []
+    bracket = distributions.jet_bracket
+
+    def counted(vj, wj):
+        calls.append((vj, wj))
+        return bracket(vj, wj)
+
+    monkeypatch.setattr(distributions, "jet_bracket", counted)
+    q = rand_points(np.random.default_rng(400 + n), n + 3, 1)[0]
+    assert derived_flag(trailer_fields(n), q).dims == list(range(2, n + 4))
+    assert len(calls) == brackets
+    assert len({frozenset((id(v), id(w))) for v, w in calls}) == len(calls)
+
+
+def test_oversized_jet_table_is_refused_before_it_is_built(monkeypatch):
+    # seven trailers: degree-8 jets in 10 variables need 3.1 M product pairs
+    monkeypatch.setattr(jets, "_TABLES", {})
+    q = rand_points(np.random.default_rng(8), 10, 1)[0]
+    with pytest.raises(JetTableTooLarge):
+        derived_flag(trailer_fields(7), q)
+    assert jets._TABLES == {}
 
 
 def test_car_flag():

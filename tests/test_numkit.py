@@ -1,5 +1,7 @@
 """Tests for the shared numerical kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from nonholo.distributions import car_fields
 from nonholo.errors import NonFinite, StepSizeUnderflow
 from nonholo.numkit import (
     Dual,
+    Jet,
     PeriodicGrid1D,
     PeriodicGrid2D,
     Stepper,
@@ -21,6 +24,8 @@ from nonholo.numkit import (
     spectral_partial_2d,
     step,
 )
+from nonholo.numkit import jets
+from nonholo.numkit.jets import derivative_along, monomials, n_monomials
 
 
 class TestSteppers:
@@ -66,6 +71,27 @@ class TestSteppers:
         with pytest.raises(NonFinite):
             integrate(lambda t, y: y, [np.nan], (0.0, 1.0), Stepper.rk4(0.1))
 
+    def test_rk4_shortens_the_last_step_to_land_on_t1(self):
+        times, states = integrate(lambda t, y: -y, [1.0], (0.0, 0.0105), Stepper.rk4(1e-3))
+        assert times[-1] == 0.0105 and len(times) == 12
+        assert abs(states[-1, 0] - np.exp(-0.0105)) < 1e-14
+
+    @given(st.floats(-10.0, 10.0), st.floats(1e-3, 2.0), st.floats(1e-3, 0.1))
+    @settings(max_examples=50, deadline=None)
+    def test_rk4_last_recorded_time_is_t1(self, t0, span, dt):
+        t1 = t0 + span
+        times, states = integrate(lambda t, y: -y, [1.0], (t0, t1), Stepper.rk4(dt),
+                                  record_every=7)
+        n = round((t1 - t0) / dt)
+        tol = 1e-9 * max(1.0, abs(t1))
+        if abs(t0 + n * dt - t1) <= tol:
+            # a whole number of steps keeps the grid t0 + k dt
+            assert times[-1] == t0 + n * dt and abs(times[-1] - t1) <= tol
+        else:
+            assert times[-1] == t1
+        assert np.all(np.diff(times) > 0)
+        assert abs(states[-1, 0] - np.exp(-(times[-1] - t0))) < 1e-6
+
 
 class TestDual:
     def test_jacobian_identity(self):
@@ -106,6 +132,178 @@ class TestDual:
         v = np.sqrt(np.sin(0.7) * np.exp(0.7))
         dv = (np.cos(0.7) * np.exp(0.7) + np.sin(0.7) * np.exp(0.7)) / (2 * v)
         assert abs(y.val - v) < 1e-14 and abs(y.dot - dv) < 1e-13
+
+
+def _poly(jet):
+    """Coefficients of a scalar jet as {exponent tuple: value}."""
+    return {tuple(int(e) for e in row): c
+            for row, c in zip(monomials(jet.nvars, jet.deg), jet.coef)}
+
+
+def _ref_mul(p, q, deg):
+    out = {}
+    for ka, va in p.items():
+        for kb, vb in q.items():
+            k = tuple(a + b for a, b in zip(ka, kb))
+            if sum(k) <= deg:
+                out[k] = out.get(k, 0.0) + va * vb
+    return out
+
+
+def _ref_add(p, q, scale=1.0):
+    out = dict(p)
+    for k, v in q.items():
+        out[k] = out.get(k, 0.0) + scale * v
+    return out
+
+
+def _ref_diff(p, i):
+    out = {}
+    for k, v in p.items():
+        if k[i]:
+            kk = list(k)
+            kk[i] -= 1
+            out[tuple(kk)] = v * k[i]
+    return out
+
+
+def _ref_powers(g, nvars, deg):
+    """[1, g, g^2, ..., g^deg], naive products truncated at deg."""
+    powers = [{(0,) * nvars: 1.0}]
+    for _ in range(deg):
+        powers.append(_ref_mul(powers[-1], g, deg))
+    return powers
+
+
+def _ref_split(jet):
+    """Constant term and the powers of the rest."""
+    g = _poly(jet)
+    c = g.pop((0,) * jet.nvars)
+    return c, _ref_powers(g, jet.nvars, jet.deg)
+
+
+def _ref_sin(jet):
+    # sin(c + g) = sin c cos g + cos c sin g
+    c, powers = _ref_split(jet)
+    out = {}
+    for k, gk in enumerate(powers):
+        head = math.cos(c) if k % 2 else math.sin(c)
+        out = _ref_add(out, gk, (-1.0) ** (k // 2) * head / math.factorial(k))
+    return out
+
+
+def _ref_cos(jet):
+    # cos(c + g) = cos c cos g - sin c sin g
+    c, powers = _ref_split(jet)
+    out = {}
+    for k, gk in enumerate(powers):
+        head = -math.sin(c) if k % 2 else math.cos(c)
+        out = _ref_add(out, gk, (-1.0) ** (k // 2) * head / math.factorial(k))
+    return out
+
+
+def _ref_reciprocal(jet):
+    # 1 / (c + g) = sum_k (-g)^k / c^(k+1)
+    c, powers = _ref_split(jet)
+    out = {}
+    for k, gk in enumerate(powers):
+        out = _ref_add(out, gk, (-1.0) ** k / c ** (k + 1))
+    return out
+
+
+def _assert_matches(jet, ref):
+    got = _poly(jet)
+    assert set(ref) <= set(got)
+    expected = np.array([ref.get(k, 0.0) for k in got])
+    assert np.allclose(list(got.values()), expected, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def jet_sets(draw, count=2, vector=False, min_deg=0):
+    """``count`` random jets in one variable set; vector jets have nvars rows."""
+    nvars = draw(st.integers(1, 3))
+    rows = nvars if vector else 1
+    out = []
+    for _ in range(count):
+        deg = draw(st.integers(min_deg, 4))
+        size = n_monomials(nvars, deg)
+        coef = draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * size, max_size=rows * size))
+        coef = np.array(coef).reshape(rows, size)
+        if vector:
+            # vanishing, constant and affine rows take the shortcuts of derivative_along
+            kind = draw(st.sampled_from(["zero", "constant", "affine", "full"]))
+            keep = {"zero": 0, "constant": 1, "affine": nvars + 1, "full": size}[kind]
+            coef[draw(st.lists(st.integers(0, rows - 1), unique=True)), keep:] = 0.0
+        out.append(Jet(nvars, deg, coef if vector else coef[0]))
+    return out
+
+
+class TestJet:
+    @given(jet_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_naive_expansion(self, pair):
+        a, b = pair
+        deg = min(a.deg, b.deg)
+        prod = a * b
+        assert prod.deg == deg
+        _assert_matches(prod, _ref_mul(_poly(a), _poly(b), deg))
+
+    @given(jet_sets(count=1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_diff_matches_naive_expansion(self, single, data):
+        (a,) = single
+        i = data.draw(st.integers(0, a.nvars - 1))
+        d = a.diff(i)
+        assert d.deg == max(a.deg - 1, 0)
+        ref = {k: v for k, v in _ref_diff(_poly(a), i).items() if sum(k) <= d.deg}
+        _assert_matches(d, ref)
+
+    @given(jet_sets(count=1), st.floats(0.5, 2.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_series_match_naive_expansion(self, single, c, negative):
+        (a,) = single
+        a.coef[0] = -c if negative else c
+        _assert_matches(a.sin(), _ref_sin(a))
+        _assert_matches(a.cos(), _ref_cos(a))
+        _assert_matches(a.reciprocal(), _ref_reciprocal(a))
+
+    @given(jet_sets(vector=True, min_deg=1))
+    @settings(max_examples=60, deadline=None)
+    def test_derivative_along_matches_naive_expansion(self, pair):
+        field, f = pair
+        nvars = field.nvars
+        out = derivative_along(field, f)
+        deg = min(field.deg, f.deg) - 1
+        assert out.coef.shape == (nvars, n_monomials(nvars, deg))
+        for i in range(nvars):
+            ref = {}
+            for j in range(nvars):
+                vj = Jet(nvars, field.deg, field.coef[j])
+                fi = Jet(nvars, f.deg, f.coef[i])
+                ref = _ref_add(ref, _ref_mul(_poly(vj), _ref_diff(_poly(fi), j), deg))
+            _assert_matches(Jet(nvars, deg, out.coef[i]), ref)
+
+    def test_vector_jet_value_and_scalar_value(self):
+        x, y = Jet.constant(0.5, 2, 3), Jet(2, 3, np.arange(2 * 10.0).reshape(2, 10))
+        assert x.value == 0.5 and isinstance(x.value, float)
+        assert np.array_equal(y.value, [0.0, 10.0])
+
+    def test_tables_do_not_depend_on_the_degree_built(self):
+        # the cache keeps one table per variable count at the largest degree
+        # asked for; its prefix must equal the table of any lower degree
+        big, small = jets._build(4, 6), jets._build(4, 3)
+        p, n = small.npairs[3], small.size(3)
+        assert np.array_equal(big.left[:p], small.left)
+        assert np.array_equal(big.right[:p], small.right)
+        assert np.array_equal(big.seg[:n], small.seg)
+        assert np.array_equal(big.up[:, :small.up.shape[1]], small.up)
+
+    def test_monomials_are_graded(self):
+        exps = monomials(3, 4)
+        assert len(exps) == n_monomials(3, 4) == 35
+        assert np.all(np.diff(exps.sum(axis=1)) >= 0)
+        assert len({tuple(e) for e in exps}) == len(exps)
+        assert exps[1:4].tolist() == np.eye(3, dtype=int).tolist()
 
 
 class TestRank:

@@ -101,12 +101,15 @@ def _stepper(cfg):
     dt = cfg.get("dt", 1e-3)
     if not _is_real(dt) or dt <= 0:
         raise ConfigError("config key 'dt' must be a positive finite number")
+    t0, t1 = _t_span(cfg)
+    if not math.isfinite((t1 - t0) / dt):
+        raise ConfigError("config keys 't_span' and 'dt' give a non-finite step count")
     return Stepper.rk4(float(dt))
 
 
 def _record_every(cfg):
     re = cfg.get("record_every", 1)
-    if not isinstance(re, int) or re < 1:
+    if not _is_count(re) or re < 1:
         raise ConfigError("config key 'record_every' must be a positive integer")
     return re
 
@@ -122,8 +125,8 @@ def _checks(cfg):
         _reject_unknown(entry, {"name", "tol"}, where="check")
         name = _require(entry, "name", str, where="checks.")
         tol = entry.get("tol", 0.0)
-        if not isinstance(tol, (int, float)) or tol < 0:
-            raise ConfigError(f"check {name!r} tolerance must be nonnegative")
+        if not _is_real(tol) or tol < 0:
+            raise ConfigError(f"config key 'tol' of check {name!r} must be nonnegative and finite")
         out.append((name, float(tol)))
     return out
 
@@ -200,11 +203,11 @@ def run_skate(cfg, rng):
     if system not in ("reduced", "lda", "regularized"):
         raise ConfigError(f"config key 'system' must name a skate system, got {system!r}")
     g = cfg.get("g", 0.0)
-    if not isinstance(g, (int, float)) or g < 0:
-        raise ConfigError("config key 'g' must be nonnegative")
+    if not _is_real(g) or g < 0:
+        raise ConfigError("config key 'g' must be a nonnegative finite number")
     mu = cfg.get("mu", 0.0)
-    if not isinstance(mu, (int, float)) or mu < 0:
-        raise ConfigError("config key 'mu' must be nonnegative")
+    if not _is_real(mu) or mu < 0:
+        raise ConfigError("config key 'mu' must be a nonnegative finite number")
     nu = alpha = None
     if system == "regularized":
         nu = _positive(cfg, "nu") if "nu" in cfg else None
@@ -622,25 +625,22 @@ def run_odd_fluid(cfg, rng):
     eos_kind = _require(eos_spec, "kind", str, where="eos.")
     if eos_kind == "isothermal":
         _reject_unknown(eos_spec, {"kind", "c"}, where="eos")
-        eos = ("isothermal", float(eos_spec.get("c", 1.0)))
+        eos = ("isothermal", _positive({"c": 1.0, **eos_spec}, "c", where="eos."))
     elif eos_kind == "polytropic2":
         _reject_unknown(eos_spec, {"kind", "kappa"}, where="eos")
-        eos = ("polytropic2", float(eos_spec.get("kappa", 0.5)))
+        eos = ("polytropic2", _positive({"kappa": 0.5, **eos_spec}, "kappa", where="eos."))
     else:
         raise ConfigError(f"unknown equation of state {eos_kind!r}")
-    eta = float(cfg.get("eta_H", 0.0))
-    gamma = float(cfg.get("Gamma_H", 0.0))
-    mu = cfg.get("mu", 1.0)
-    nu = cfg.get("nu", 1.0)
-    if not isinstance(mu, (int, float)) or mu <= 0:
-        raise ConfigError("config key 'mu' must be positive")
-    if not isinstance(nu, (int, float)) or nu <= 0:
-        raise ConfigError("config key 'nu' must be positive")
+    for key in ("eta_H", "Gamma_H"):
+        if not _is_real(cfg.get(key, 0.0)):
+            raise ConfigError(f"config key {key!r} must be a finite number")
+    eta, gamma = float(cfg.get("eta_H", 0.0)), float(cfg.get("Gamma_H", 0.0))
     params = oddfluid.FluidParams(
         eos=eos,
         eta_H=lambda rho: eta + 0.0 * rho,
         Gamma_H=lambda rho: gamma + 0.0 * rho,
-        mu=float(mu), nu=float(nu),
+        mu=_positive(cfg, "mu") if "mu" in cfg else 1.0,
+        nu=_positive(cfg, "nu") if "nu" in cfg else 1.0,
     )
     init = cfg.get("initial", {})
     _reject_unknown(init, {"rho", "vx", "vy", "ell"}, where="initial")
@@ -675,8 +675,7 @@ def run_odd_fluid(cfg, rng):
 
 def _field_csv(field):
     """Flat row-major CSV of a 2-D grid, one grid row per line."""
-    lines = [",".join(trajectory._fmt(v) for v in row) for row in np.asarray(field)]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return b"".join(trajectory._csv_lines(field))
 
 
 _BURGERS_KEYS = {"n", "potential", "t_span", "dt", "record_every", "checks"}

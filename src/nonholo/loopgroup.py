@@ -9,7 +9,8 @@ two, which doubles as a cross-validation between the solvers.
 import numpy as np
 
 from nonholo.errors import NonFinite
-from nonholo.numkit import Stepper, integrate, spectral_derivative
+from nonholo.numkit import integrate, spectral_derivative
+from nonholo.numkit.spectral import derivative_from
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -24,6 +25,14 @@ def _check_loop(F, name):
     return F
 
 
+def _cross(a, b):
+    """Row-wise a x b of two (n, 3) loops: the products and differences of np.cross."""
+    out = np.empty(a.shape)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(a[:, j] * b[:, k], a[:, k] * b[:, j], out=out[:, i])
+    return out
+
+
 def unit_norm_deviation(L):
     """Worst deviation of node norms from 1."""
     return float(np.max(np.abs(np.linalg.norm(L, axis=1) - 1.0)))
@@ -33,7 +42,7 @@ def ll_rhs(L):
     """L x L'' with the spectral second derivative along the loop."""
     L = _check_loop(L, "spin field")
     L2 = spectral_derivative(L, order=2, length=TWO_PI, axis=0)
-    return np.cross(L, L2)
+    return _cross(L, L2)
 
 
 def spin_energy(L):
@@ -117,9 +126,8 @@ def circle_curve(n, r=1.0):
 def binormal_rhs(gamma, length=TWO_PI):
     """gamma' x gamma'' for an arclength-scaled parametrization."""
     gamma = _check_loop(gamma, "curve")
-    g1 = spectral_derivative(gamma, order=1, length=length, axis=0)
-    g2 = spectral_derivative(gamma, order=2, length=length, axis=0)
-    return np.cross(g1, g2)
+    gh = np.fft.fft(gamma, axis=0)
+    return _cross(derivative_from(gh, 1, length), derivative_from(gh, 2, length))
 
 
 def curve_length(gamma, length=TWO_PI):

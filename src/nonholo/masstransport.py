@@ -10,7 +10,7 @@ import numpy as np
 
 from nonholo.errors import NonFinite
 from nonholo.numkit import dealias_2d, integrate, spectral_partial_2d
-from nonholo.numkit.spectral import _check_pow2
+from nonholo.numkit.spectral import _check_pow2, _mask, jacobian_2d
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -39,12 +39,10 @@ def burgers_rhs(u, lengths=(TWO_PI, TWO_PI)):
     """-(u . grad) u with dealiased products."""
     u = _check_field(u, "velocity")
     out = np.empty_like(u)
-    ud = np.stack([dealias_2d(u[0]), dealias_2d(u[1])])
+    ud = np.empty_like(u)
+    du = jacobian_2d(u, lengths, ud)
     for j in range(2):
-        out[j] = -dealias_2d(
-            ud[0] * dealias_2d(spectral_partial_2d(u[j], 1, 0, lengths))
-            + ud[1] * dealias_2d(spectral_partial_2d(u[j], 1, 1, lengths))
-        )
+        out[j] = -dealias_2d(ud[0] * dealias_2d(du[0, j]) + ud[1] * dealias_2d(du[1, j]))
     if not np.all(np.isfinite(out)):
         raise NonFinite("blow-up in the advection derivative")
     return out
@@ -63,9 +61,8 @@ def spectral_tail_fraction(field):
     field = np.asarray(field, dtype=float)
     fh = np.abs(np.fft.fft2(field)) ** 2
     n0, n1 = field.shape
-    k0 = np.abs(np.fft.fftfreq(n0, 1.0 / n0))
-    k1 = np.abs(np.fft.fftfreq(n1, 1.0 / n1))
-    tail = (k0[:, None] > n0 / 3.0) | (k1[None, :] > n1 / 3.0)
+    # for integer |k|, |k| > n/3 exactly when |k| > n//3: outside the dealiasing mask
+    tail = ~_mask(n0)[:, None] | ~_mask(n1)[None, :]
     total = fh.sum() - fh[0, 0]
     if total == 0.0:
         return 0.0

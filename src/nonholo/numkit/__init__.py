@@ -4,8 +4,6 @@ from nonholo.numkit.dual import Dual, cos, exp, generic_jacobian, jacobian, log,
 from nonholo.numkit.jets import Jet, jet_variables
 from nonholo.numkit.rank import numerical_rank
 from nonholo.numkit.spectral import (
-    PeriodicGrid1D,
-    PeriodicGrid2D,
     dealias_1d,
     dealias_2d,
     spectral_derivative,
@@ -16,8 +14,6 @@ from nonholo.numkit.steppers import Stepper, integrate, step
 __all__ = [
     "Dual",
     "Jet",
-    "PeriodicGrid1D",
-    "PeriodicGrid2D",
     "Stepper",
     "cos",
     "dealias_1d",

@@ -1,11 +1,16 @@
-"""Periodic grids and Fourier-multiplier derivatives.
+"""One spectral kernel for periodic grids: Fourier-multiplier derivatives
+and 2/3-rule dealiasing.
 
 Grids are uniform with power-of-two sample counts; node j sits at
 j * length / n.  Values may be scalar or vector-valued (components on the
-last axis); transforms always act on the spatial axes.
+last axis); transforms always act on the spatial axes.  Multipliers and
+masks are cached read-only per grid, built on first use.  The ``*_from``
+helpers take a forward transform the caller already holds, so one
+transform of a field serves all its derivatives and its dealiased copy,
+bit-identical to transforming afresh (same ``np.fft`` calls and factors).
 """
 
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,25 +24,66 @@ def wavenumbers(n, length):
     return 2.0 * np.pi / length * np.fft.fftfreq(n, d=1.0 / n)
 
 
-def spectral_derivative(values, order, length=2.0 * np.pi, axis=0):
-    """Fourier-multiplier derivative along ``axis``.
+def _readonly(a):
+    a.flags.writeable = False
+    return a
 
-    The Nyquist mode of odd-order derivatives is zeroed (its multiplier is
-    purely imaginary and has no consistent real-signal interpretation).
-    """
+
+@lru_cache(maxsize=256)
+def _multiplier(n, length, order):
+    """(i k)^order; the Nyquist mode of odd orders is zeroed (its multiplier
+    is purely imaginary and has no consistent real-signal interpretation)."""
     if order not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2, or 3")
-    values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
     _check_pow2(n)
-    k = wavenumbers(n, length)
-    mult = (1j * k) ** order
+    mult = (1j * wavenumbers(n, length)) ** order
     if order % 2 == 1:
         mult[n // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = n
-    fh = np.fft.fft(values, axis=axis) * mult.reshape(shape)
-    return np.real(np.fft.ifft(fh, axis=axis))
+    return _readonly(mult)
+
+
+@lru_cache(maxsize=256)
+def _mask(n):
+    """2/3 rule: True on the modes with |k| <= n//3."""
+    return _readonly(np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3)
+
+
+def _along(table, axis, ndim):
+    """A 1-D table shaped to broadcast along ``axis`` of an ndim-array."""
+    shape = [1] * ndim
+    shape[axis] = table.size
+    return table.reshape(shape)
+
+
+def derivative_from(fh, order, length=2.0 * np.pi, axis=0):
+    """Derivative along ``axis`` from ``fh = np.fft.fft(values, axis=axis)``."""
+    mult = _multiplier(fh.shape[axis], length, order)
+    return np.real(np.fft.ifft(fh * _along(mult, axis, fh.ndim), axis=axis))
+
+
+def dealias_1d_from(fh):
+    """``dealias_1d(values)`` from ``fh = np.fft.fft(values, axis=0)``."""
+    return np.real(np.fft.ifft(fh * _along(_mask(fh.shape[0]), 0, fh.ndim), axis=0))
+
+
+def _masked_ifft2(fh):
+    """Zero the aliased modes of ``fh`` on both spatial axes (in place) and invert."""
+    fh *= _along(_mask(fh.shape[0]), 0, fh.ndim)
+    fh *= _along(_mask(fh.shape[1]), 1, fh.ndim)
+    return np.real(np.fft.ifft2(fh, axes=(0, 1)))
+
+
+def dealias_2d_from_ax1(a1):
+    """``dealias_2d(values)`` from ``a1 = np.fft.fft(values, axis=1)``; fft2
+    transforms axis 1 and then axis 0, so finishing along axis 0 matches it."""
+    return _masked_ifft2(np.fft.fft(a1, axis=0))
+
+
+def spectral_derivative(values, order, length=2.0 * np.pi, axis=0):
+    """Fourier-multiplier derivative along ``axis``."""
+    values = np.asarray(values, dtype=float)
+    _multiplier(values.shape[axis], length, order)  # validate before transforming
+    return derivative_from(np.fft.fft(values, axis=axis), order, length, axis)
 
 
 def spectral_partial_2d(values, order, axis, lengths=(2.0 * np.pi, 2.0 * np.pi)):
@@ -47,85 +93,25 @@ def spectral_partial_2d(values, order, axis, lengths=(2.0 * np.pi, 2.0 * np.pi))
     return spectral_derivative(values, order, length=lengths[axis], axis=axis)
 
 
+def jacobian_2d(v, lengths=(2.0 * np.pi, 2.0 * np.pi), v_d=None):
+    """d[i, j] = partial_i v_j of a 2-D vector field v of shape (2, n0, n1).  A given
+    ``v_d`` receives dealias_2d(v[j]), from the same axis-1 transform as partial_1 v_j."""
+    v = np.asarray(v, dtype=float)
+    d = np.empty((2, 2) + v.shape[1:])
+    for j in range(2):
+        d[0, j] = spectral_partial_2d(v[j], 1, 0, lengths)
+        a1 = np.fft.fft(v[j], axis=1)
+        d[1, j] = derivative_from(a1, 1, lengths[1], axis=1)
+        if v_d is not None:
+            v_d[j] = dealias_2d_from_ax1(a1)
+    return d
+
+
 def dealias_1d(values, length=None):
     """Zero modes with |k| > n//3 along axis 0 (2/3 rule)."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    kidx = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    mask = kidx <= n // 3
-    shape = [1] * values.ndim
-    shape[0] = n
-    fh = np.fft.fft(values, axis=0) * mask.reshape(shape)
-    return np.real(np.fft.ifft(fh, axis=0))
+    return dealias_1d_from(np.fft.fft(np.asarray(values, dtype=float), axis=0))
 
 
 def dealias_2d(values):
     """2/3-rule mask on both spatial axes of a 2-D field."""
-    values = np.asarray(values, dtype=float)
-    n0, n1 = values.shape[0], values.shape[1]
-    m0 = np.abs(np.fft.fftfreq(n0, d=1.0 / n0)) <= n0 // 3
-    m1 = np.abs(np.fft.fftfreq(n1, d=1.0 / n1)) <= n1 // 3
-    fh = np.fft.fft2(values, axes=(0, 1))
-    fh *= m0.reshape([n0] + [1] * (values.ndim - 1))
-    fh *= m1.reshape([1, n1] + [1] * (values.ndim - 2))
-    return np.real(np.fft.ifft2(fh, axes=(0, 1)))
-
-
-@dataclass
-class PeriodicGrid1D:
-    """Uniform periodic samples on [0, length)."""
-
-    values: np.ndarray
-    length: float = 2.0 * np.pi
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        _check_pow2(self.values.shape[0])
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-    @property
-    def nodes(self):
-        return np.arange(self.n) * (self.length / self.n)
-
-    def derivative(self, order):
-        return PeriodicGrid1D(spectral_derivative(self.values, order, self.length), self.length)
-
-    def integral(self):
-        """Exact spectral quadrature (uniform trapezoid on a periodic grid)."""
-        return np.sum(self.values, axis=0) * (self.length / self.n)
-
-
-@dataclass
-class PeriodicGrid2D:
-    """Uniform periodic samples on [0, Lx) x [0, Ly); axis 0 is x."""
-
-    values: np.ndarray
-    lengths: tuple = field(default=(2.0 * np.pi, 2.0 * np.pi))
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        _check_pow2(self.values.shape[0])
-        _check_pow2(self.values.shape[1])
-
-    @property
-    def shape(self):
-        return self.values.shape[:2]
-
-    def nodes(self):
-        nx, ny = self.shape
-        x = np.arange(nx) * (self.lengths[0] / nx)
-        y = np.arange(ny) * (self.lengths[1] / ny)
-        return np.meshgrid(x, y, indexing="ij")
-
-    def partial(self, order, axis):
-        return PeriodicGrid2D(
-            spectral_partial_2d(self.values, order, axis, self.lengths), self.lengths
-        )
-
-    def integral(self):
-        nx, ny = self.shape
-        cell = (self.lengths[0] / nx) * (self.lengths[1] / ny)
-        return np.sum(self.values, axis=(0, 1)) * cell
+    return _masked_ifft2(np.fft.fft2(np.asarray(values, dtype=float), axes=(0, 1)))

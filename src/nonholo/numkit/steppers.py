@@ -134,11 +134,14 @@ def integrate(rhs, y0, t_span, stepper, record_every=1, observer=None):
     k = 0
     if stepper.scheme == "rk4":
         dt = stepper.dt
-        nsteps = int(round((t1 - t0) / dt))
+        span = (t1 - t0) / dt
+        if not np.isfinite(span):
+            raise ValueError(f"t_span {t_span!r} and dt {dt!r} give a non-finite step count")
+        nsteps = int(round(span))
         exact = abs(t0 + nsteps * dt - t1) <= 1e-9 * max(1.0, abs(t1))
         if not exact:
             # full steps first; one shortened step then lands on t1
-            nsteps = int(np.ceil((t1 - t0) / dt - 1e-12)) - 1
+            nsteps = int(np.ceil(span - 1e-12)) - 1
         final = nsteps - 1 if exact else -1
         for i in range(nsteps):
             y = _rk4_step(rhs, t, y, dt)

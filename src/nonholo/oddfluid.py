@@ -17,7 +17,7 @@ import numpy as np
 from nonholo.errors import NegativeDensity, NonFinite
 from nonholo.numkit import dealias_2d, integrate, spectral_partial_2d
 from nonholo.numkit.dual import Dual, _TAGS
-from nonholo.numkit.spectral import _check_pow2
+from nonholo.numkit.spectral import _check_pow2, jacobian_2d
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -122,19 +122,7 @@ def _check_state(rho, v, ell=None):
         raise NegativeDensity(f"density fell to {np.min(rho):.3e}")
 
 
-def _grad(f, lengths):
-    return np.stack(
-        [spectral_partial_2d(f, 1, 0, lengths), spectral_partial_2d(f, 1, 1, lengths)]
-    )
-
-
-def velocity_jacobian(v, lengths):
-    """d[i, j] = partial_i v_j."""
-    d = np.empty((2, 2) + v.shape[1:])
-    for i in range(2):
-        for j in range(2):
-            d[i, j] = spectral_partial_2d(v[j], 1, i, lengths)
-    return d
+velocity_jacobian = jacobian_2d  # d[i, j] = partial_i v_j
 
 
 def viscous_stress(eta_H, Gamma_H, ell, dv, mode):
@@ -162,10 +150,15 @@ def viscous_stress(eta_H, Gamma_H, ell, dv, mode):
     return T
 
 
-def stress_tensor(state, params, mode="base"):
-    """Full stress T_ij on the grid, shape (2, 2, nx, ny)."""
+def stress_tensor(state, params, mode="base", dv=None, ghat=None):
+    """Full stress T_ij on the grid, shape (2, 2, nx, ny).
+
+    The velocity Jacobian ``dv`` and, in the extended mode, ``ghat`` =
+    Gamma_hat(rho) are computed here unless the caller already has them.
+    """
     _check_state(state.rho, state.v, state.ell)
-    dv = velocity_jacobian(state.v, state.lengths)
+    if dv is None:
+        dv = velocity_jacobian(state.v, state.lengths)
     p = params.pressure(state.rho)
     eta = params.eta_value(state.rho)
     gam = params.gamma_value(state.rho)
@@ -177,7 +170,9 @@ def stress_tensor(state, params, mode="base"):
         dl = state.ell
         ell = dl - 2.0 * eta
         nu = params.nu
-        p = p + dl * dl / (2.0 * nu) + (2.0 / nu) * params.gamma_hat(state.rho) * dl
+        if ghat is None:
+            ghat = params.gamma_hat(state.rho)
+        p = p + dl * dl / (2.0 * nu) + (2.0 / nu) * ghat * dl
         T = viscous_stress(eta, gam, ell, dv, "extended")
     else:
         raise ValueError(f"unknown stress mode {mode!r}")
@@ -186,18 +181,15 @@ def stress_tensor(state, params, mode="base"):
     return T
 
 
-def _euler_terms(rho, v, T, lengths):
+def _euler_terms(rho, dv, v_d, T, lengths):
     rho_d = dealias_2d(rho)
-    v_d = np.stack([dealias_2d(v[0]), dealias_2d(v[1])])
     rho_t = -(
         spectral_partial_2d(dealias_2d(rho_d * v_d[0]), 1, 0, lengths)
         + spectral_partial_2d(dealias_2d(rho_d * v_d[1]), 1, 1, lengths)
     )
-    v_t = np.empty_like(v)
+    v_t = np.empty_like(v_d)
     for j in range(2):
-        adv = v_d[0] * dealias_2d(spectral_partial_2d(v[j], 1, 0, lengths)) + v_d[
-            1
-        ] * dealias_2d(spectral_partial_2d(v[j], 1, 1, lengths))
+        adv = v_d[0] * dealias_2d(dv[0, j]) + v_d[1] * dealias_2d(dv[1, j])
         divT = spectral_partial_2d(T[0, j], 1, 0, lengths) + spectral_partial_2d(
             T[1, j], 1, 1, lengths
         )
@@ -207,38 +199,42 @@ def _euler_terms(rho, v, T, lengths):
 
 def base_rhs(state, params):
     """(rho_t, v_t) of the parity-breaking barotropic system."""
-    T = stress_tensor(state, params, "base")
-    return _euler_terms(state.rho, state.v, T, state.lengths)
+    v_d = np.empty_like(state.v)  # dealiased velocity, from the Jacobian's transforms
+    dv = velocity_jacobian(state.v, state.lengths, v_d)
+    T = stress_tensor(state, params, "base", dv)
+    return _euler_terms(state.rho, dv, v_d, T, state.lengths)
 
 
 def effective_rhs(state, params):
     """Base system with the relaxation-limit pressure shift -(8/mu) Gamma_hat div v."""
-    T = stress_tensor(state, params, "base")
     lengths = state.lengths
-    dv = velocity_jacobian(state.v, lengths)
+    v_d = np.empty_like(state.v)
+    dv = velocity_jacobian(state.v, lengths, v_d)
+    T = stress_tensor(state, params, "base", dv)
     shift = dealias_2d(-(8.0 / params.mu) * params.gamma_hat(state.rho) * (dv[0, 0] + dv[1, 1]))
     T[0, 0] -= shift
     T[1, 1] -= shift
-    return _euler_terms(state.rho, state.v, T, lengths)
+    return _euler_terms(state.rho, dv, v_d, T, lengths)
 
 
 def extended_rhs(state, params):
     """(rho_t, v_t, dl_t) of the system with the relaxing deviation field."""
     if state.ell is None:
         raise ValueError("extended dynamics needs the deviation field")
-    T = stress_tensor(state, params, "extended")
-    rho_t, v_t = _euler_terms(state.rho, state.v, T, state.lengths)
     lengths = state.lengths
+    v_d = np.empty_like(state.v)
+    dv = velocity_jacobian(state.v, lengths, v_d)
+    ghat = params.gamma_hat(state.rho)
+    T = stress_tensor(state, params, "extended", dv, ghat)
+    rho_t, v_t = _euler_terms(state.rho, dv, v_d, T, lengths)
     dl = dealias_2d(state.ell)
-    v_d = np.stack([dealias_2d(state.v[0]), dealias_2d(state.v[1])])
-    dv = velocity_jacobian(state.v, lengths)
     div = dv[0, 0] + dv[1, 1]
     transport = spectral_partial_2d(dealias_2d(dl * v_d[0]), 1, 0, lengths) + spectral_partial_2d(
         dealias_2d(dl * v_d[1]), 1, 1, lengths
     )
     dl_t = dealias_2d(
         -transport
-        - 2.0 * dealias_2d(params.gamma_hat(state.rho) * div)
+        - 2.0 * dealias_2d(ghat * div)
         - (params.mu / params.nu) * state.ell
     )
     return rho_t, v_t, dl_t

@@ -5,7 +5,6 @@ The CSV layout is the toolkit's wire format: header ``t,<state columns>,
 round-trip bit-exactly, LF line endings, '.' decimal separator.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,18 +65,19 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _csv_lines(block):
+    """One CSV line per row of a 2-D float block; ``%.17g`` prints each value as ``_fmt``
+    does, and converting one row at a time keeps no whole-block list of floats."""
+    block = np.asarray(block, dtype=float)
+    line = b",".join([b"%.17g"] * block.shape[1]) + b"\n"
+    return [line % tuple(row.tolist()) for row in block]
+
+
 def to_csv(traj):
     """Serialize to bytes; deterministic and locale-independent."""
-    header = ["t"] + list(traj.columns) + list(traj.ledger.keys())
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    ledger_cols = [traj.ledger[k] for k in traj.ledger]
-    for i in range(len(traj)):
-        row = [_fmt(traj.times[i])]
-        row += [_fmt(v) for v in traj.states[i]]
-        row += [_fmt(col[i]) for col in ledger_cols]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue().encode("ascii")
+    header = ",".join(["t"] + list(traj.columns) + list(traj.ledger.keys())) + "\n"
+    block = np.column_stack([traj.times, traj.states, *traj.ledger.values()])
+    return b"".join([header.encode("ascii"), *_csv_lines(block)])
 
 
 def from_csv(data, n_state_columns=None, meta=None):

@@ -128,6 +128,34 @@ class TestExitCodes:
         assert code == EXIT_CONFIG and out == ""
         assert f"config key {field!r}" in err
 
+    def test_overflowing_step_count_names_t_span_and_dt(self, tmp_path):
+        cfg = {"system": "lda", "t_span": [0, 1e308], "dt": 1e-3}
+        code, out, err = run_cli(["skate", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG and out == ""
+        assert "'t_span'" in err and "'dt'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("skate", {"system": "lda", "g": True}, "g"),
+        ("skate", {"system": "lda", "mu": float("inf")}, "mu"),
+        ("skate", {"system": "regularized", "nu": True, "alpha": 0.1}, "nu"),
+        ("skate", {"system": "regularized", "nu": 0.1, "alpha": float("nan")}, "alpha"),
+        ("odd-fluid", {"eta_H": True}, "eta_H"),
+        ("odd-fluid", {"Gamma_H": float("inf")}, "Gamma_H"),
+        ("odd-fluid", {"mu": True}, "mu"),
+        ("odd-fluid", {"nu": float("nan")}, "nu"),
+        ("odd-fluid", {"eos": {"kind": "isothermal", "c": True}}, "c"),
+        ("odd-fluid", {"eos": {"kind": "polytropic2", "kappa": float("-inf")}}, "kappa"),
+        ("skate", {"system": "lda", "record_every": True}, "record_every"),
+        ("skate", {"system": "lda", "checks": [{"name": "phi_max", "tol": float("nan")}]}, "tol"),
+        ("skate", {"system": "lda", "checks": [{"name": "phi_max", "tol": True}]}, "tol"),
+        ("skate", {"system": "lda", "checks": [{"name": "phi_max", "tol": float("inf")}]}, "tol"),
+    ])
+    def test_physical_parameters_reject_bools_and_nonfinite(self, tmp_path, command, cfg, field):
+        cfg = {"t_span": [0, 0.01], "dt": 1e-3, **cfg}
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG and out == ""
+        assert "config key" in err and repr(field) in err
+
     @pytest.mark.parametrize("cfg, field", [
         ({"kind": "trailer", "n": 7, "points": 1}, "n"),
         ({"kind": "goursat", "n": 10, "points": 1}, "n"),

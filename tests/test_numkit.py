@@ -12,8 +12,6 @@ from nonholo.errors import NonFinite, StepSizeUnderflow
 from nonholo.numkit import (
     Dual,
     Jet,
-    PeriodicGrid1D,
-    PeriodicGrid2D,
     Stepper,
     dealias_1d,
     generic_jacobian,
@@ -70,6 +68,11 @@ class TestSteppers:
     def test_nonfinite_initial_state(self):
         with pytest.raises(NonFinite):
             integrate(lambda t, y: y, [np.nan], (0.0, 1.0), Stepper.rk4(0.1))
+
+    @pytest.mark.parametrize("t_span, dt", [((0.0, 1e308), 1e-3), ((-1e308, 1e308), 1.0)])
+    def test_rk4_rejects_a_non_finite_step_count(self, t_span, dt):
+        with pytest.raises(ValueError, match="t_span .* dt .* non-finite step count"):
+            integrate(lambda t, y: y, [1.0], t_span, Stepper.rk4(dt))
 
     def test_rk4_shortens_the_last_step_to_land_on_t1(self):
         times, states = integrate(lambda t, y: -y, [1.0], (0.0, 0.0105), Stepper.rk4(1e-3))
@@ -388,12 +391,14 @@ class TestSpectral:
         g = dealias_1d(f)
         assert np.abs(g - np.cos(3 * x)).max() < 1e-12
 
-    def test_grid_wrappers(self):
+    def test_periodic_derivative_and_quadrature(self):
         n = 64
-        g = PeriodicGrid1D(np.sin(np.arange(n) * (2 * np.pi / n)))
-        assert abs(g.integral()) < 1e-13
-        assert np.abs(g.derivative(1).values - np.cos(g.nodes)).max() < 1e-12
+        nodes = np.arange(n) * (2 * np.pi / n)
+        f = np.sin(nodes)
+        # the uniform sum is the exact (spectral) quadrature on a periodic grid
+        assert abs(np.sum(f) * (2 * np.pi / n)) < 1e-13
+        assert np.abs(spectral_derivative(f, 1) - np.cos(nodes)).max() < 1e-12
         x = np.arange(32) * (2 * np.pi / 32)
         X, Y = np.meshgrid(x, x, indexing="ij")
-        g2 = PeriodicGrid2D(1.0 + np.sin(X + Y))
-        assert abs(g2.integral() - (2 * np.pi) ** 2) < 1e-10
+        cell = (2 * np.pi / 32) ** 2
+        assert abs(np.sum(1.0 + np.sin(X + Y)) * cell - (2 * np.pi) ** 2) < 1e-10

@@ -14,7 +14,6 @@ from nonholo.errors import (
     NonFinite,
     SingularGram,
     SteeringOutOfRange,
-    StepSizeUnderflow,
     UnknownColumn,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "NonFinite",
     "SingularGram",
     "SteeringOutOfRange",
-    "StepSizeUnderflow",
     "UnknownColumn",
     "__version__",
 ]

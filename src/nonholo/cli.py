@@ -25,7 +25,6 @@ from nonholo.errors import (
     NonFinite,
     SingularGram,
     SteeringOutOfRange,
-    StepSizeUnderflow,
 )
 from nonholo.numkit import Stepper
 
@@ -37,7 +36,6 @@ class ConfigError(ValueError):
 _NUMERICAL_ERRORS = (
     NonFinite,
     NegativeDensity,
-    StepSizeUnderflow,
     SingularGram,
     SteeringOutOfRange,
     DomainExceeded,
@@ -90,6 +88,30 @@ def _positive(cfg, key, where=""):
     return float(value)
 
 
+def _real(cfg, key, default, where=""):
+    """The finite number under ``key`` (``default`` when absent), as a float."""
+    value = cfg.get(key, default)
+    if not _is_real(value):
+        raise ConfigError(f"config key {where}{key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(cfg, key, where=""):
+    """The list of finite numbers under ``key``, as floats."""
+    values = _require(cfg, key, list, where=where)
+    if not all(_is_real(v) for v in values):
+        raise ConfigError(f"config key {where}{key!r} must be a list of finite numbers")
+    return [float(v) for v in values]
+
+
+def _count(cfg, key, default, least, where=""):
+    """The integer >= least under ``key`` (``default`` when absent)."""
+    value = cfg.get(key, default)
+    if not _is_count(value) or value < least:
+        raise ConfigError(f"config key {where}{key!r} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _t_span(cfg):
     ts = _require(cfg, "t_span", list)
     if len(ts) != 2 or not all(_is_real(v) for v in ts) or ts[1] <= ts[0]:
@@ -135,12 +157,12 @@ def _fourier_1d(n, spec, where="initial"):
     """Sampled sum of cos/sin modes on [0, 2pi); spec = {mean, modes}."""
     _reject_unknown(spec, {"mean", "modes"}, where=where)
     x = np.arange(n) * (2.0 * np.pi / n)
-    f = float(spec.get("mean", 0.0)) * np.ones(n)
+    f = _real(spec, "mean", 0.0, where=f"{where}.") * np.ones(n)
     for mode in spec.get("modes", []):
         _reject_unknown(mode, {"k", "cos", "sin"}, where=f"{where} mode")
         k = _require(mode, "k", int, where=f"{where}.")
-        f += float(mode.get("cos", 0.0)) * np.cos(k * x)
-        f += float(mode.get("sin", 0.0)) * np.sin(k * x)
+        f += _real(mode, "cos", 0.0, where=f"{where}.") * np.cos(k * x)
+        f += _real(mode, "sin", 0.0, where=f"{where}.") * np.sin(k * x)
     return f
 
 
@@ -149,14 +171,14 @@ def _fourier_2d(n, spec, where="initial"):
     _reject_unknown(spec, {"mean", "modes"}, where=where)
     x = np.arange(n) * (2.0 * np.pi / n)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    f = float(spec.get("mean", 0.0)) * np.ones((n, n))
+    f = _real(spec, "mean", 0.0, where=f"{where}.") * np.ones((n, n))
     for mode in spec.get("modes", []):
         _reject_unknown(mode, {"kx", "ky", "cos", "sin"}, where=f"{where} mode")
         kx = _require(mode, "kx", int, where=f"{where}.")
         ky = _require(mode, "ky", int, where=f"{where}.")
         phase = kx * X + ky * Y
-        f += float(mode.get("cos", 0.0)) * np.cos(phase)
-        f += float(mode.get("sin", 0.0)) * np.sin(phase)
+        f += _real(mode, "cos", 0.0, where=f"{where}.") * np.cos(phase)
+        f += _real(mode, "sin", 0.0, where=f"{where}.") * np.sin(phase)
     return f
 
 
@@ -215,7 +237,10 @@ def run_skate(cfg, rng):
         if nu is None or alpha is None:
             raise ConfigError("regularized skate needs 'nu' and 'alpha'")
     initial = cfg.get("initial", dict(skate.FIG_INITIAL))
+    if not isinstance(initial, dict):
+        raise ConfigError("config key 'initial' has wrong type")
     _reject_unknown(initial, _INITIAL_KEYS, where="initial")
+    initial = {key: _real(initial, key, None, where="initial.") for key in initial}
     if system == "regularized":
         y0 = skate.initial_full(**{k: v for k, v in initial.items() if k != "lam"})
     else:
@@ -246,20 +271,27 @@ def _control_from_config(spec):
     kind = spec["kind"]
     if kind == "constant":
         _reject_unknown(spec, {"kind", "u1", "u2"}, where="controls")
-        return driving.constant_control(float(spec.get("u1", 0.0)), float(spec.get("u2", 0.0)))
+        return driving.constant_control(
+            _real(spec, "u1", 0.0, where="controls."), _real(spec, "u2", 0.0, where="controls.")
+        )
     if kind == "sine":
         _reject_unknown(spec, {"kind", "a1", "w1", "a2", "w2"}, where="controls")
         return driving.sine_control(
-            float(spec.get("a1", 0.0)), float(spec.get("w1", 1.0)),
-            float(spec.get("a2", 0.0)), float(spec.get("w2", 1.0)),
+            *(_real(spec, key, default, where="controls.")
+              for key, default in (("a1", 0.0), ("w1", 1.0), ("a2", 0.0), ("w2", 1.0)))
         )
     if kind == "piecewise":
         _reject_unknown(spec, {"kind", "breaks", "values1", "values2"}, where="controls")
-        return driving.piecewise_control(
-            [float(b) for b in _require(spec, "breaks", list, where="controls.")],
-            [float(v) for v in _require(spec, "values1", list, where="controls.")],
-            [float(v) for v in _require(spec, "values2", list, where="controls.")],
-        )
+        breaks = _reals(spec, "breaks", where="controls.")
+        if len(breaks) < 2 or any(b >= c for b, c in zip(breaks, breaks[1:])):
+            raise ConfigError("config key 'controls.breaks' must be at least 2 increasing numbers")
+        values = [_reals(spec, key, where="controls.") for key in ("values1", "values2")]
+        if any(len(v) != len(breaks) - 1 for v in values):
+            raise ConfigError(
+                "config keys 'controls.values1' and 'controls.values2' need one value "
+                "per interval between breaks"
+            )
+        return driving.piecewise_control(breaks, *values)
     raise ConfigError(f"unknown control kind {kind!r}")
 
 
@@ -267,7 +299,7 @@ def _run_rig(name, cfg):
     kind = {"trailer": "unicycle", "car": "car"}[name]
     _reject_unknown(cfg, _RIG_KEYS)
     n = cfg.get("n", 0)
-    if not isinstance(n, int) or n < 0:
+    if not _is_count(n) or n < 0:
         raise ConfigError("config key 'n' must be a nonnegative integer")
     l = cfg.get("l", 1.0)
     if kind == "car":
@@ -277,7 +309,7 @@ def _run_rig(name, cfg):
     if q0 is None:
         q0 = driving.default_rig_start(kind, n)
     else:
-        q0 = np.asarray([float(v) for v in q0])
+        q0 = np.asarray(_reals(cfg, "initial"))
         want = len(driving.rig_columns(kind, n))
         if q0.shape != (want,):
             raise ConfigError(f"config key 'initial' must have {want} components")
@@ -392,8 +424,8 @@ def _head_path(spec):
     if kind == "circle":
         _reject_unknown(spec, {"kind", "radius", "turns", "samples"}, where="path")
         r = _positive(spec, "radius", where="path.") if "radius" in spec else 1.0
-        turns = float(spec.get("turns", 3.0))
-        n = int(spec.get("samples", 400))
+        turns = _positive({"turns": 3.0, **spec}, "turns", where="path.")
+        n = _count(spec, "samples", 400, 4, where="path.")
         return snake.HeadPath.from_function(
             lambda t: np.array([r * np.cos(t / r), r * np.sin(t / r)]),
             (0.0, turns * 2 * np.pi * r), n=n,
@@ -401,31 +433,42 @@ def _head_path(spec):
     if kind == "line":
         _reject_unknown(spec, {"kind", "length", "samples"}, where="path")
         length = _positive(spec, "length", where="path.") if "length" in spec else 10.0
-        n = int(spec.get("samples", 200))
+        n = _count(spec, "samples", 200, 4, where="path.")
         return snake.HeadPath.from_function(lambda t: np.array([t, 0.0]), (0.0, length), n=n)
     if kind == "points":
         _reject_unknown(spec, {"kind", "points"}, where="path")
-        return snake.HeadPath(np.asarray(_require(spec, "points", list, where="path.")))
+        points = _require(spec, "points", list, where="path.")
+        if len(points) < 4 or not all(
+            isinstance(p, list) and len(p) == 2 and all(_is_real(c) for c in p) for p in points
+        ):
+            raise ConfigError("config key 'path.points' must be at least 4 [x, y] pairs of finite numbers")
+        return snake.HeadPath(np.asarray(points, dtype=float))
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
 def run_snake(cfg, rng):
     _reject_unknown(cfg, _SNAKE_KEYS)
-    head = _head_path(_require(cfg, "path", dict))
     f_spec = cfg.get("f", {"kind": "linear", "speed": 1.0, "offset": 0.0})
+    if not isinstance(f_spec, dict):
+        raise ConfigError("config key 'f' has wrong type")
     _reject_unknown(f_spec, {"kind", "speed", "offset"}, where="f")
     if f_spec.get("kind") != "linear":
         raise ConfigError("config key 'f.kind' must be 'linear'")
-    speed = float(f_spec.get("speed", 1.0))
-    offset = float(f_spec.get("offset", 0.0))
+    speed = _real(f_spec, "speed", 1.0, where="f.")
+    offset = _real(f_spec, "offset", 0.0, where="f.")
     f = lambda t: speed * t + offset
     tg = _require(cfg, "t_grid", dict)
     _reject_unknown(tg, {"t0", "t1", "samples"}, where="t_grid")
-    t_grid = np.linspace(float(tg.get("t0", 0.0)), float(_require(tg, "t1", (int, float))),
-                         int(tg.get("samples", 25)))
+    _require(tg, "t1", where="t_grid.")
+    t0, t1 = _real(tg, "t0", 0.0, where="t_grid."), _real(tg, "t1", None, where="t_grid.")
+    if t1 <= t0:
+        raise ConfigError("config key 't_grid.t1' must exceed 't_grid.t0'")
+    t_grid = np.linspace(t0, t1, _count(tg, "samples", 25, 3, where="t_grid."))
     sg = _require(cfg, "s_grid", dict)
     _reject_unknown(sg, {"length", "samples"}, where="s_grid")
-    s_grid = np.linspace(0.0, _positive(sg, "length", where="s_grid."), int(sg.get("samples", 51)))
+    s_grid = np.linspace(0.0, _positive(sg, "length", where="s_grid."),
+                         _count(sg, "samples", 51, 3, where="s_grid."))
+    head = _head_path(_require(cfg, "path", dict))
     frames = snake.snake_evolve(head, f, t_grid, s_grid)
     L = float(s_grid[-1])
     arc_dev = max(abs(snake.frame_arclength(fr, s_grid) - L) / L for fr in frames)
@@ -450,11 +493,14 @@ _SLEIGH_KEYS = {"v0", "omega0", "L", "t_span", "dt", "n_string", "record_every",
 
 def run_sleigh(cfg, rng):
     _reject_unknown(cfg, _SLEIGH_KEYS)
-    v0 = float(_require(cfg, "v0", (int, float)))
-    omega0 = float(cfg.get("omega0", 0.0))
+    _require(cfg, "v0")
+    v0 = _real(cfg, "v0", None)
+    if v0 == 0:
+        raise ConfigError("config key 'v0' must be nonzero: the head must move to drag the string")
+    omega0 = _real(cfg, "omega0", 0.0)
     L = _positive(cfg, "L") if "L" in cfg else 1.0
     n_string = cfg.get("n_string", 50)
-    if not isinstance(n_string, int) or n_string < 2:
+    if not _is_count(n_string) or n_string < 2:
         raise ConfigError("config key 'n_string' must be an integer >= 2")
     traj, frames = snake.sleigh_with_string(
         v0, omega0, L, _t_span(cfg), _stepper(cfg),
@@ -482,22 +528,36 @@ def run_sleigh(cfg, rng):
 _LIE_KEYS = {"flow", "m0", "t_span", "dt", "record_every", "checks"}
 
 
+def _is_triple(value):
+    return isinstance(value, list) and len(value) == 3 and all(_is_real(v) for v in value)
+
+
+def _operator(spec, key):
+    """A 3x3 operator given by its diagonal or by its rows."""
+    value = _require(spec, key, list, where="flow.")
+    if not (_is_triple(value) or (len(value) == 3 and all(_is_triple(row) for row in value))):
+        raise ConfigError(f"config key 'flow.{key}' must be 3 finite numbers or 3 rows of 3")
+    return np.asarray(value, dtype=float)
+
+
 def run_euler_suslov(cfg, rng):
     _reject_unknown(cfg, _LIE_KEYS)
     flow_spec = _require(cfg, "flow", dict)
     kind = _require(flow_spec, "kind", str, where="flow.")
     if kind == "free":
         _reject_unknown(flow_spec, {"kind", "B"}, where="flow")
-        flow = ("free", np.asarray(_require(flow_spec, "B", list, where="flow."), dtype=float))
+        flow = ("free", _operator(flow_spec, "B"))
     elif kind == "constrained":
         _reject_unknown(flow_spec, {"kind", "A", "constraints"}, where="flow")
-        A = np.asarray(_require(flow_spec, "A", list, where="flow."), dtype=float)
-        cons = [np.asarray(a, dtype=float)
-                for a in _require(flow_spec, "constraints", list, where="flow.")]
-        flow = ("constrained", A, cons)
+        A = _operator(flow_spec, "A")
+        cons = _require(flow_spec, "constraints", list, where="flow.")
+        if len(cons) not in (1, 2) or not all(_is_triple(a) for a in cons):
+            raise ConfigError("config key 'flow.constraints' must hold 1 or 2 vectors of 3 "
+                              "finite numbers")
+        flow = ("constrained", A, [np.asarray(a, dtype=float) for a in cons])
     else:
         raise ConfigError(f"unknown flow kind {kind!r}")
-    m0 = np.asarray(_require(cfg, "m0", list), dtype=float)
+    m0 = np.asarray(_reals(cfg, "m0"))
     if m0.shape != (3,):
         raise ConfigError("config key 'm0' must have 3 components")
     traj = liealg.integrate_lie(flow, m0, _t_span(cfg), _stepper(cfg),
@@ -519,7 +579,7 @@ _LL_KEYS = {"n", "initial", "t_span", "dt", "record_every", "renormalize", "chec
 def run_heisenberg(cfg, rng):
     _reject_unknown(cfg, _LL_KEYS)
     n = cfg.get("n", 128)
-    if not isinstance(n, int) or n < 4:
+    if not _is_count(n) or n < 4:
         raise ConfigError("config key 'n' must be an integer >= 4")
     init = cfg.get("initial", {"kind": "magnon", "k": 1, "eps": 0.3})
     kind = _require(init, "kind", str, where="initial.")
@@ -527,13 +587,15 @@ def run_heisenberg(cfg, rng):
         raise ConfigError("config key 'initial.kind' must be 'magnon'")
     _reject_unknown(init, {"kind", "k", "eps"}, where="initial")
     k = init.get("k", 1)
-    if not isinstance(k, int) or k < 1:
+    if not _is_count(k) or k < 1:
         raise ConfigError("config key 'initial.k' must be a positive integer")
-    eps = float(init.get("eps", 0.3))
+    eps = _real(init, "eps", 0.3, where="initial.")
     L0 = loopgroup.magnon(n, k, eps)
+    renormalize = cfg.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise ConfigError("config key 'renormalize' must be true or false")
     traj = loopgroup.integrate_ll(
-        L0, _t_span(cfg), _stepper(cfg),
-        renormalize=bool(cfg.get("renormalize", False)),
+        L0, _t_span(cfg), _stepper(cfg), renormalize=renormalize,
         record_every=_record_every(cfg),
     )
     values = {
@@ -560,12 +622,10 @@ _BINORMAL_KEYS = {"n", "radius", "t_span", "dt", "record_every", "checks"}
 def run_binormal(cfg, rng):
     _reject_unknown(cfg, _BINORMAL_KEYS)
     n = cfg.get("n", 128)
-    if not isinstance(n, int) or n < 4:
+    if not _is_count(n) or n < 4:
         raise ConfigError("config key 'n' must be an integer >= 4")
-    r = cfg.get("radius", 1.0)
-    if not isinstance(r, (int, float)) or r <= 0:
-        raise ConfigError("config key 'radius' must be positive")
-    gamma0 = loopgroup.circle_curve(n, float(r))
+    r = _positive({"radius": 1.0, **cfg}, "radius")
+    gamma0 = loopgroup.circle_curve(n, r)
     traj = loopgroup.integrate_binormal(gamma0, _t_span(cfg), _stepper(cfg),
                                         record_every=_record_every(cfg))
     values = {"length_rel_drift": _rel_drift(traj.ledger["length"])}
@@ -585,9 +645,9 @@ _CH_KEYS = {"n", "kappa", "initial", "t_span", "dt", "record_every", "checks"}
 def run_camassa_holm(cfg, rng):
     _reject_unknown(cfg, _CH_KEYS)
     n = cfg.get("n", 256)
-    if not isinstance(n, int) or n < 4:
+    if not _is_count(n) or n < 4:
         raise ConfigError("config key 'n' must be an integer >= 4")
-    kappa = float(cfg.get("kappa", 0.0))
+    kappa = _real(cfg, "kappa", 0.0)
     u0 = _fourier_1d(n, cfg.get("initial", {"modes": [{"k": 1, "cos": 0.1}]}))
     m0 = camassaholm.helmholtz_apply(u0)
     traj = camassaholm.integrate_ch(m0, kappa, _t_span(cfg), _stepper(cfg),
@@ -619,7 +679,7 @@ def run_odd_fluid(cfg, rng):
     if system not in ("base", "effective", "extended"):
         raise ConfigError(f"config key 'system' must name a fluid system, got {system!r}")
     n = cfg.get("n", 64)
-    if not isinstance(n, int) or n < 4:
+    if not _is_count(n) or n < 4:
         raise ConfigError("config key 'n' must be an integer >= 4")
     eos_spec = cfg.get("eos", {"kind": "isothermal", "c": 1.0})
     eos_kind = _require(eos_spec, "kind", str, where="eos.")
@@ -684,7 +744,7 @@ _BURGERS_KEYS = {"n", "potential", "t_span", "dt", "record_every", "checks"}
 def run_burgers(cfg, rng):
     _reject_unknown(cfg, _BURGERS_KEYS)
     n = cfg.get("n", 128)
-    if not isinstance(n, int) or n < 4:
+    if not _is_count(n) or n < 4:
         raise ConfigError("config key 'n' must be an integer >= 4")
     f0 = _fourier_2d(n, _require(cfg, "potential", dict), where="potential")
     u0 = masstransport.gradient(f0)

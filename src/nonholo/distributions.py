@@ -20,6 +20,8 @@ from nonholo.numkit.rank import DEFAULT_RANK_TOL
 
 def scalar_value(x):
     """Float value of a scalar that may be a Dual or a Jet."""
+    if type(x) is float:
+        return x
     while True:
         if isinstance(x, Dual):
             x = x.val
@@ -42,9 +44,13 @@ class VectorField:
             raise DimensionMismatch(f"{self.label or 'field'} expects dim {self.dim}")
         return self.func(point)
 
+    def values(self, point):
+        """Plain float evaluation as a list of floats."""
+        return [scalar_value(c) for c in self(list(point))]
+
     def at(self, point):
         """Plain float evaluation as a numpy vector."""
-        return np.array([scalar_value(c) for c in self(list(point))], dtype=float)
+        return np.array(self.values(point), dtype=float)
 
 
 @dataclass

@@ -6,6 +6,7 @@ by construction; the recorded residuals measure how well the reconstructed
 axle velocities respect that tangency.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ def constant_control(c1, c2):
 
 
 def sine_control(a1, w1, a2, w2):
-    return ControlSignal(lambda t: a1 * np.sin(w1 * t), lambda t: a2 * np.sin(w2 * t))
+    return ControlSignal(lambda t: a1 * math.sin(w1 * t), lambda t: a2 * math.sin(w2 * t))
 
 
 def piecewise_control(breaks, values1, values2):
@@ -101,7 +102,7 @@ def simulate_rig(kind, n, controls, q0, t_span, stepper, l=1.0, record_every=1):
 
     def rhs(t, q):
         u1, u2 = controls.at(t)
-        return u1 * g1.at(q) + u2 * g2.at(q)
+        return [u1 * a + u2 * b for a, b in zip(g1.values(q), g2.values(q))]
 
     times, states = integrate(rhs, q0, t_span, stepper, record_every=record_every)
     resid = np.empty(len(times))

@@ -5,10 +5,6 @@ class NonFinite(ArithmeticError):
     """A state, right-hand side, or derived quantity contains NaN/Inf."""
 
 
-class StepSizeUnderflow(ArithmeticError):
-    """Adaptive stepper could not meet tolerances above its dt floor."""
-
-
 class DimensionMismatch(ValueError):
     """Operands live on charts of different dimension."""
 

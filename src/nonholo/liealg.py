@@ -22,11 +22,21 @@ def _as_operator(B):
     return B
 
 
+def _cross(m, w):
+    """m x w of two 3-vectors: the products and differences of np.cross."""
+    m0, m1, m2 = m
+    w0, w1, w2 = w
+    return [m1 * w2 - m2 * w1, m2 * w0 - m0 * w2, m0 * w1 - m1 * w0]
+
+
+def _euler_arnold(m, B):
+    # the product stays a numpy call: its BLAS kernel may fuse multiply-adds
+    return _cross(m, (B @ m).tolist())
+
+
 def euler_arnold_rhs(m, B):
     """m' = m x (B m); B may be an inverse inertia or a degenerate operator."""
-    B = _as_operator(B)
-    m = np.asarray(m, dtype=float)
-    return np.cross(m, B @ m)
+    return np.array(_euler_arnold(np.asarray(m, dtype=float), _as_operator(B)))
 
 
 def constraint_values(m, A, constraints):
@@ -41,29 +51,42 @@ def eps_gram(A, constraints):
     return a @ Ainv @ a.T
 
 
+def _constrained_flow(A, constraints):
+    """m -> (m', lambda) of the constrained momentum flow.
+
+    A^{-1}, the Gram matrix and its conditioning do not depend on m and are
+    computed once here.
+    """
+    A = _as_operator(A)
+    Ainv = np.linalg.inv(A)
+    a = np.asarray(constraints, dtype=float).reshape(-1, 3)
+    if len(a) > 2:
+        raise ValueError("at most two independent constraints on a 3d algebra")
+    gram = a @ Ainv @ a.T
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularGram("constraint Gram matrix is singular")
+
+    def flow(m):
+        free = _euler_arnold(m, Ainv)
+        rhsvec = -(a @ (Ainv @ free))
+        try:
+            lam = np.linalg.solve(gram, rhsvec)
+        except np.linalg.LinAlgError as exc:
+            raise SingularGram("constraint Gram matrix is singular") from exc
+        return [f + c for f, c in zip(free, (a.T @ lam).tolist())], lam
+
+    return flow
+
+
 def eps_rhs(m, A, constraints):
     """Constrained momentum flow: m' = m x (A^{-1}m) + sum_i lambda_i a_i.
 
     The multipliers solve the linear system that keeps every pairing
     <a_i, A^{-1} m> constant along the flow.
     """
-    A = _as_operator(A)
-    Ainv = np.linalg.inv(A)
-    m = np.asarray(m, dtype=float)
-    a = np.asarray(constraints, dtype=float).reshape(-1, 3)
-    if len(a) > 2:
-        raise ValueError("at most two independent constraints on a 3d algebra")
-    free = np.cross(m, Ainv @ m)
-    gram = a @ Ainv @ a.T
-    rhsvec = -(a @ (Ainv @ free))
-    try:
-        lam = np.linalg.solve(gram, rhsvec)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram("constraint Gram matrix is singular") from exc
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularGram("constraint Gram matrix is singular")
-    return free + a.T @ lam, lam
+    mdot, lam = _constrained_flow(A, constraints)(np.asarray(m, dtype=float))
+    return np.array(mdot), lam
 
 
 def restricted_inverse_inertia(A, a):
@@ -93,7 +116,7 @@ def integrate_lie(flow, m0, t_span, stepper, record_every=1):
         B = _as_operator(flow[1])
 
         def rhs(t, m):
-            return euler_arnold_rhs(m, B)
+            return _euler_arnold(m, B)
 
         times, states = integrate(rhs, m0, t_span, stepper, record_every=record_every)
         ledger = {
@@ -105,12 +128,13 @@ def integrate_lie(flow, m0, t_span, stepper, record_every=1):
         A = _as_operator(flow[1])
         constraints = np.asarray(flow[2], dtype=float).reshape(-1, 3)
         Ainv = np.linalg.inv(A)
+        flow_at = _constrained_flow(A, constraints)
 
         def rhs(t, m):
-            return eps_rhs(m, A, constraints)[0]
+            return flow_at(m)[0]
 
         times, states = integrate(rhs, m0, t_span, stepper, record_every=record_every)
-        lams = np.array([eps_rhs(m, A, constraints)[1] for m in states])
+        lams = np.array([flow_at(m)[1] for m in states])
         ledger = {
             "energy": np.array([spin_energy(m, Ainv) for m in states]),
             "casimir": np.einsum("ij,ij->i", states, states),

@@ -11,6 +11,7 @@ import numpy as np
 from nonholo.errors import NonFinite
 from nonholo.numkit import integrate, spectral_derivative
 from nonholo.numkit.spectral import derivative_from
+from nonholo.numkit.steppers import march
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -74,24 +75,12 @@ def integrate_ll(L0, t_span, stepper, renormalize=False, record_every=1):
     def rhs(t, y):
         return ll_rhs(y.reshape(n, 3)).ravel()
 
-    if renormalize:
-        times = [float(t_span[0])]
-        frames = [L0.copy()]
-        y = L0.copy()
-        t = float(t_span[0])
-        from nonholo.numkit import step
+    def unit_rows(y):
+        L = y.reshape(n, 3)
+        return (L / np.linalg.norm(L, axis=1)[:, None]).ravel()
 
-        k = 0
-        while t < t_span[1] - 1e-12 * max(1.0, abs(t_span[1])):
-            t, yflat, _ = step(rhs, t, y.ravel(), stepper)
-            y = yflat.reshape(n, 3)
-            y /= np.linalg.norm(y, axis=1)[:, None]
-            k += 1
-            if k % record_every == 0 or t >= t_span[1] - 1e-12:
-                times.append(t)
-                frames.append(y.copy())
-        times = np.array(times)
-        states = np.array([f.ravel() for f in frames])
+    if renormalize:
+        times, states = march(rhs, L0.ravel(), t_span, stepper.dt, record_every, unit_rows)
     else:
         times, states = integrate(
             rhs, L0.ravel(), t_span, stepper, record_every=record_every

@@ -9,7 +9,7 @@ from nonholo.numkit.spectral import (
     spectral_derivative,
     spectral_partial_2d,
 )
-from nonholo.numkit.steppers import Stepper, integrate, step
+from nonholo.numkit.steppers import Stepper, integrate
 
 __all__ = [
     "Dual",
@@ -29,6 +29,5 @@ __all__ = [
     "spectral_derivative",
     "spectral_partial_2d",
     "sqrt",
-    "step",
     "tan",
 ]

@@ -114,6 +114,8 @@ class Dual:
 
 
 def _dispatch(x, name, plain):
+    if type(x) is float:
+        return plain(x)
     method = getattr(x, name, None)
     if method is not None and not isinstance(x, np.ndarray):
         return method()

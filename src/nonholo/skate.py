@@ -18,6 +18,8 @@ Gravity pulls along -x with strength g.  The reduced equations use
 E = (rho^2 + omega^2)/2 + g x conserved for every mu.
 """
 
+import math
+
 import numpy as np
 
 from nonholo.numkit import Stepper, integrate
@@ -31,27 +33,33 @@ FULL_COLUMNS = ["x", "y", "theta", "xdot", "ydot", "thetadot"]
 FIG_INITIAL = dict(x=0.0, y=0.0, theta=np.pi / 4, v=1.0, omega=-10.0)
 
 
+def _reduced(s, g, mu):
+    x, y, theta, omega, rho, lam = s
+    cs, sn = math.cos(theta), math.sin(theta)
+    return [
+        rho * cs,
+        rho * sn,
+        omega,
+        -lam * rho,
+        -g * cs + lam * omega,
+        -rho * omega + g * sn - mu * lam,
+    ]
+
+
 def reduced_rhs(s, g, mu):
     """Interpolating family: d/dt (x, y, theta, omega, rho, lam)."""
-    x, y, theta, omega, rho, lam = s
-    return np.array(
-        [
-            rho * np.cos(theta),
-            rho * np.sin(theta),
-            omega,
-            -lam * rho,
-            -g * np.cos(theta) + lam * omega,
-            -rho * omega + g * np.sin(theta) - mu * lam,
-        ]
-    )
+    return np.array(_reduced(s, g, mu))
+
+
+def _lda(s, g):
+    x, y, theta, omega, rho = s
+    cs = math.cos(theta)
+    return [rho * cs, rho * math.sin(theta), omega, 0.0, -g * cs]
 
 
 def lda_rhs(s, g):
     """No-work limit: d/dt (x, y, theta, omega, rho)."""
-    x, y, theta, omega, rho = s
-    return np.array(
-        [rho * np.cos(theta), rho * np.sin(theta), omega, 0.0, -g * np.cos(theta)]
-    )
+    return np.array(_lda(s, g))
 
 
 def lda_closed_form(theta0, omega0, rho0, g, t):
@@ -66,26 +74,32 @@ def lda_closed_form(theta0, omega0, rho0, g, t):
     return theta, rho
 
 
+def _regularized(s, g, nu, alpha):
+    x, y, theta, xd, yd, td = s
+    sn, cs = math.sin(theta), math.cos(theta)
+    phi = xd * sn - yd * cs
+    rho = xd * cs + yd * sn
+    # M = I + outer(n, n) / nu with n = (sin theta, -cos theta), entry by entry
+    # as numpy forms it (0.0 + keeps the sign of a zero off-diagonal entry)
+    M = [
+        [1.0 + sn * sn / nu, 0.0 + sn * -cs / nu],
+        [0.0 + -cs * sn / nu, 1.0 + -cs * -cs / nu],
+    ]
+    b = [
+        -g - (phi / alpha) * sn - (phi * td / nu) * cs - (td * rho / nu) * sn,
+        (phi / alpha) * cs + (td * rho / nu) * cs - (phi * td / nu) * sn,
+    ]
+    acc = np.linalg.solve(M, b).tolist()
+    return [xd, yd, td, acc[0], acc[1], phi * rho / nu]
+
+
 def regularized_rhs(s, g, nu, alpha):
     """Penalty-plus-friction system: d/dt (x, y, theta, xdot, ydot, thetadot).
 
     Accelerations solve M(theta) (xddot, yddot)^T = b with
     M = I + (1/nu) n n^T, n = (sin theta, -cos theta); thetaddot = phi rho/nu.
     """
-    x, y, theta, xd, yd, td = s
-    sn, cs = np.sin(theta), np.cos(theta)
-    phi = xd * sn - yd * cs
-    rho = xd * cs + yd * sn
-    n = np.array([sn, -cs])
-    M = np.eye(2) + np.outer(n, n) / nu
-    b = np.array(
-        [
-            -g - (phi / alpha) * sn - (phi * td / nu) * cs - (td * rho / nu) * sn,
-            (phi / alpha) * cs + (td * rho / nu) * cs - (phi * td / nu) * sn,
-        ]
-    )
-    acc = np.linalg.solve(M, b)
-    return np.array([xd, yd, td, acc[0], acc[1], phi * rho / nu])
+    return np.array(_regularized(s, g, nu, alpha))
 
 
 def skate_energy(x, omega, rho, g):
@@ -143,15 +157,15 @@ def integrate_skate(system, y0, g, t_span, stepper=None, mu=0.0, nu=None, alpha=
     """
     stepper = stepper or Stepper.rk4(1e-4)
     if system == "reduced":
-        rhs = lambda t, s: reduced_rhs(s, g, mu)
+        rhs = lambda t, s: _reduced(s, g, mu)
         columns = REDUCED_COLUMNS
     elif system == "lda":
-        rhs = lambda t, s: lda_rhs(s, g)
+        rhs = lambda t, s: _lda(s, g)
         columns = LDA_COLUMNS
     elif system == "regularized":
         if nu is None or alpha is None or nu <= 0 or alpha <= 0:
             raise ValueError("regularized system needs nu > 0 and alpha > 0")
-        rhs = lambda t, s: regularized_rhs(s, g, nu, alpha)
+        rhs = lambda t, s: _regularized(s, g, nu, alpha)
         columns = FULL_COLUMNS
     else:
         raise ValueError(f"unknown skate system {system!r}")

@@ -156,6 +156,53 @@ class TestExitCodes:
         assert code == EXIT_CONFIG and out == ""
         assert "config key" in err and repr(field) in err
 
+    SNAKE = {"path": {"kind": "line", "samples": 8}, "t_grid": {"t0": 2.0, "t1": 5.0},
+             "s_grid": {"length": 1.0}}
+    RUN = {"t_span": [0, 0.01], "dt": 1e-3}
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("sleigh", {**RUN, "v0": 1.0, "omega0": "abc"}, "omega0"),
+        ("sleigh", {**RUN, "v0": True}, "v0"),
+        ("sleigh", {**RUN, "v0": 0.0}, "v0"),
+        ("snake", {**SNAKE, "f": {"kind": "linear", "speed": "x"}}, "speed"),
+        ("snake", {**SNAKE, "f": {"kind": "linear", "offset": float("nan")}}, "offset"),
+        ("snake", {**SNAKE, "t_grid": {"t0": True, "t1": 5.0}}, "t0"),
+        ("snake", {**SNAKE, "t_grid": {"t1": float("inf")}}, "t1"),
+        ("snake", {**SNAKE, "t_grid": {"t0": 6.0, "t1": 5.0}}, "t_grid.t1"),
+        ("snake", {**SNAKE, "t_grid": {"t1": 5.0, "samples": 2.5}}, "samples"),
+        ("snake", {**SNAKE, "s_grid": {"length": 1.0, "samples": 1}}, "samples"),
+        ("snake", {**SNAKE, "path": {"kind": "circle", "turns": "3"}}, "turns"),
+        ("snake", {**SNAKE, "path": {"kind": "circle", "samples": 3}}, "samples"),
+        ("snake", {**SNAKE, "path": {"kind": "points", "points": [[0, 0], [1, 0]]}}, "path.points"),
+        ("trailer", {**RUN, "controls": {"kind": "sine", "a1": "x"}}, "a1"),
+        ("trailer", {**RUN, "controls": {"kind": "sine", "w2": float("inf")}}, "w2"),
+        ("trailer", {**RUN, "controls": {"kind": "constant", "u1": True}}, "u1"),
+        ("trailer", {**RUN, "controls": {"kind": "piecewise", "breaks": [0, "1"],
+                                         "values1": [1], "values2": [1]}}, "breaks"),
+        ("car", {**RUN, "controls": {"kind": "piecewise", "breaks": [0, 1],
+                                     "values1": [True], "values2": [1]}}, "values1"),
+        ("car", {**RUN, "controls": {"kind": "piecewise", "breaks": [0, 1],
+                                     "values1": [1, 2], "values2": [1]}}, "controls.values1"),
+        ("trailer", {**RUN, "n": 1, "controls": {"kind": "constant"},
+                     "initial": [0, 0, "a", 0]}, "initial"),
+        ("trailer", {**RUN, "n": True, "controls": {"kind": "constant"}}, "n"),
+        ("binormal", {**RUN, "n": 16, "radius": float("inf")}, "radius"),
+        ("heisenberg", {**RUN, "n": 16, "renormalize": "no"}, "renormalize"),
+        ("heisenberg", {**RUN, "n": 16, "initial": {"kind": "magnon", "eps": "a"}}, "eps"),
+        ("skate", {**RUN, "system": "lda", "initial": {"theta": "a"}}, "theta"),
+        ("euler-suslov", {**RUN, "flow": {"kind": "free", "B": [1, 2]}, "m0": [1, 2, 0]},
+         "flow.B"),
+        ("euler-suslov", {**RUN, "flow": {"kind": "constrained", "A": [1, 2, 3],
+                                          "constraints": []}, "m0": [1, 2, 0]},
+         "flow.constraints"),
+        ("euler-suslov", {**RUN, "flow": {"kind": "free", "B": [1, 2, 3]}, "m0": [1, "a", 0]},
+         "m0"),
+    ])
+    def test_runner_values_name_the_field(self, tmp_path, command, cfg, field):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG and out == ""
+        assert "config key" in err and repr(field) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("cfg, field", [
         ({"kind": "trailer", "n": 7, "points": 1}, "n"),
         ({"kind": "goursat", "n": 10, "points": 1}, "n"),

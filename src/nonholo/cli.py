@@ -81,16 +81,24 @@ def _reject_unknown(cfg, allowed, where="config"):
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
-def _positive(cfg, key, where=""):
-    value = cfg[key]
+# _positive, _real and _count read ``key`` from ``cfg``; when it is absent
+# they give ``default``, or fail when there is no default.
+
+
+def _value(cfg, key, default, where):
+    return _require(cfg, key, where=where) if default is None else cfg.get(key, default)
+
+
+def _positive(cfg, key, default=None, where=""):
+    value = _value(cfg, key, default, where)
     if not _is_real(value) or not value > 0:
         raise ConfigError(f"config key {where}{key!r} must be positive, got {value!r}")
     return float(value)
 
 
-def _real(cfg, key, default, where=""):
-    """The finite number under ``key`` (``default`` when absent), as a float."""
-    value = cfg.get(key, default)
+def _real(cfg, key, default=None, where=""):
+    """A finite number, as a float."""
+    value = _value(cfg, key, default, where)
     if not _is_real(value):
         raise ConfigError(f"config key {where}{key!r} must be a finite number, got {value!r}")
     return float(value)
@@ -104,9 +112,9 @@ def _reals(cfg, key, where=""):
     return [float(v) for v in values]
 
 
-def _count(cfg, key, default, least, where=""):
-    """The integer >= least under ``key`` (``default`` when absent)."""
-    value = cfg.get(key, default)
+def _count(cfg, key, default=None, where="", least=1):
+    """An integer >= least."""
+    value = _value(cfg, key, default, where)
     if not _is_count(value) or value < least:
         raise ConfigError(f"config key {where}{key!r} must be an integer >= {least}, got {value!r}")
     return value
@@ -130,10 +138,7 @@ def _stepper(cfg):
 
 
 def _record_every(cfg):
-    re = cfg.get("record_every", 1)
-    if not _is_count(re) or re < 1:
-        raise ConfigError("config key 'record_every' must be a positive integer")
-    return re
+    return _count(cfg, "record_every", 1)
 
 
 def _checks(cfg):
@@ -232,15 +237,14 @@ def run_skate(cfg, rng):
         raise ConfigError("config key 'mu' must be a nonnegative finite number")
     nu = alpha = None
     if system == "regularized":
-        nu = _positive(cfg, "nu") if "nu" in cfg else None
-        alpha = _positive(cfg, "alpha") if "alpha" in cfg else None
-        if nu is None or alpha is None:
+        if "nu" not in cfg or "alpha" not in cfg:
             raise ConfigError("regularized skate needs 'nu' and 'alpha'")
+        nu, alpha = _positive(cfg, "nu"), _positive(cfg, "alpha")
     initial = cfg.get("initial", dict(skate.FIG_INITIAL))
     if not isinstance(initial, dict):
         raise ConfigError("config key 'initial' has wrong type")
     _reject_unknown(initial, _INITIAL_KEYS, where="initial")
-    initial = {key: _real(initial, key, None, where="initial.") for key in initial}
+    initial = {key: _real(initial, key, where="initial.") for key in initial}
     if system == "regularized":
         y0 = skate.initial_full(**{k: v for k, v in initial.items() if k != "lam"})
     else:
@@ -298,12 +302,8 @@ def _control_from_config(spec):
 def _run_rig(name, cfg):
     kind = {"trailer": "unicycle", "car": "car"}[name]
     _reject_unknown(cfg, _RIG_KEYS)
-    n = cfg.get("n", 0)
-    if not _is_count(n) or n < 0:
-        raise ConfigError("config key 'n' must be a nonnegative integer")
-    l = cfg.get("l", 1.0)
-    if kind == "car":
-        l = _positive({"l": l}, "l")
+    n = _count(cfg, "n", 0, least=0)
+    l = _positive(cfg, "l", 1.0) if kind == "car" else cfg.get("l", 1.0)
     controls = _control_from_config(_require(cfg, "controls", dict))
     q0 = cfg.get("initial")
     if q0 is None:
@@ -336,12 +336,8 @@ _FLAG_KEYS = {"kind", "n", "s", "l", "points", "tol", "checks"}
 
 def _flag_distribution(cfg):
     kind = _require(cfg, "kind", str)
-    n = cfg.get("n", 0)
-    if not _is_count(n) or n < 0:
-        raise ConfigError("config key 'n' must be a nonnegative integer")
-    l = cfg.get("l", 1.0)
-    if not _is_real(l) or l <= 0:
-        raise ConfigError("config key 'l' must be a positive finite number")
+    n = _count(cfg, "n", 0, least=0)
+    l = _positive(cfg, "l", 1.0)
     if kind == "unicycle":
         return distributions.unicycle_fields(), 3
     if kind == "trailer":
@@ -355,9 +351,7 @@ def _flag_distribution(cfg):
             raise ConfigError("goursat normal form needs n >= 3")
         return distributions.goursat_normal_form(n), n
     if kind == "cartan":
-        s = cfg.get("s", 1)
-        if not _is_count(s) or s < 1:
-            raise ConfigError("config key 's' must be a positive integer")
+        s = _count(cfg, "s", 1)
         return distributions.cartan_distribution(s), s + 2
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
@@ -387,12 +381,8 @@ def generic_point(kind, dim, rng):
 def run_flag(cfg, rng):
     _reject_unknown(cfg, _FLAG_KEYS)
     dist, dim = _flag_distribution(cfg)
-    points = cfg.get("points", 20)
-    if not _is_count(points) or points < 1:
-        raise ConfigError("config key 'points' must be a positive integer")
-    tol = cfg.get("tol", distributions.DEFAULT_RANK_TOL)
-    if not _is_real(tol) or tol <= 0:
-        raise ConfigError("config key 'tol' must be a positive finite number")
+    points = _count(cfg, "points", 20)
+    tol = _positive(cfg, "tol", distributions.DEFAULT_RANK_TOL)
     kind = cfg["kind"]
     reports = []
     try:
@@ -423,17 +413,17 @@ def _head_path(spec):
     kind = _require(spec, "kind", str, where="path.")
     if kind == "circle":
         _reject_unknown(spec, {"kind", "radius", "turns", "samples"}, where="path")
-        r = _positive(spec, "radius", where="path.") if "radius" in spec else 1.0
-        turns = _positive({"turns": 3.0, **spec}, "turns", where="path.")
-        n = _count(spec, "samples", 400, 4, where="path.")
+        r = _positive(spec, "radius", 1.0, where="path.")
+        turns = _positive(spec, "turns", 3.0, where="path.")
+        n = _count(spec, "samples", 400, where="path.", least=4)
         return snake.HeadPath.from_function(
             lambda t: np.array([r * np.cos(t / r), r * np.sin(t / r)]),
             (0.0, turns * 2 * np.pi * r), n=n,
         )
     if kind == "line":
         _reject_unknown(spec, {"kind", "length", "samples"}, where="path")
-        length = _positive(spec, "length", where="path.") if "length" in spec else 10.0
-        n = _count(spec, "samples", 200, 4, where="path.")
+        length = _positive(spec, "length", 10.0, where="path.")
+        n = _count(spec, "samples", 200, where="path.", least=4)
         return snake.HeadPath.from_function(lambda t: np.array([t, 0.0]), (0.0, length), n=n)
     if kind == "points":
         _reject_unknown(spec, {"kind", "points"}, where="path")
@@ -459,15 +449,14 @@ def run_snake(cfg, rng):
     f = lambda t: speed * t + offset
     tg = _require(cfg, "t_grid", dict)
     _reject_unknown(tg, {"t0", "t1", "samples"}, where="t_grid")
-    _require(tg, "t1", where="t_grid.")
-    t0, t1 = _real(tg, "t0", 0.0, where="t_grid."), _real(tg, "t1", None, where="t_grid.")
+    t0, t1 = _real(tg, "t0", 0.0, where="t_grid."), _real(tg, "t1", where="t_grid.")
     if t1 <= t0:
         raise ConfigError("config key 't_grid.t1' must exceed 't_grid.t0'")
-    t_grid = np.linspace(t0, t1, _count(tg, "samples", 25, 3, where="t_grid."))
+    t_grid = np.linspace(t0, t1, _count(tg, "samples", 25, where="t_grid.", least=3))
     sg = _require(cfg, "s_grid", dict)
     _reject_unknown(sg, {"length", "samples"}, where="s_grid")
     s_grid = np.linspace(0.0, _positive(sg, "length", where="s_grid."),
-                         _count(sg, "samples", 51, 3, where="s_grid."))
+                         _count(sg, "samples", 51, where="s_grid.", least=3))
     head = _head_path(_require(cfg, "path", dict))
     frames = snake.snake_evolve(head, f, t_grid, s_grid)
     L = float(s_grid[-1])
@@ -493,15 +482,12 @@ _SLEIGH_KEYS = {"v0", "omega0", "L", "t_span", "dt", "n_string", "record_every",
 
 def run_sleigh(cfg, rng):
     _reject_unknown(cfg, _SLEIGH_KEYS)
-    _require(cfg, "v0")
-    v0 = _real(cfg, "v0", None)
+    v0 = _real(cfg, "v0")
     if v0 == 0:
         raise ConfigError("config key 'v0' must be nonzero: the head must move to drag the string")
     omega0 = _real(cfg, "omega0", 0.0)
-    L = _positive(cfg, "L") if "L" in cfg else 1.0
-    n_string = cfg.get("n_string", 50)
-    if not _is_count(n_string) or n_string < 2:
-        raise ConfigError("config key 'n_string' must be an integer >= 2")
+    L = _positive(cfg, "L", 1.0)
+    n_string = _count(cfg, "n_string", 50, least=2)
     traj, frames = snake.sleigh_with_string(
         v0, omega0, L, _t_span(cfg), _stepper(cfg),
         n_string=n_string, record_every=_record_every(cfg),
@@ -578,17 +564,13 @@ _LL_KEYS = {"n", "initial", "t_span", "dt", "record_every", "renormalize", "chec
 
 def run_heisenberg(cfg, rng):
     _reject_unknown(cfg, _LL_KEYS)
-    n = cfg.get("n", 128)
-    if not _is_count(n) or n < 4:
-        raise ConfigError("config key 'n' must be an integer >= 4")
+    n = _count(cfg, "n", 128, least=4)
     init = cfg.get("initial", {"kind": "magnon", "k": 1, "eps": 0.3})
     kind = _require(init, "kind", str, where="initial.")
     if kind != "magnon":
         raise ConfigError("config key 'initial.kind' must be 'magnon'")
     _reject_unknown(init, {"kind", "k", "eps"}, where="initial")
-    k = init.get("k", 1)
-    if not _is_count(k) or k < 1:
-        raise ConfigError("config key 'initial.k' must be a positive integer")
+    k = _count(init, "k", 1, where="initial.")
     eps = _real(init, "eps", 0.3, where="initial.")
     L0 = loopgroup.magnon(n, k, eps)
     renormalize = cfg.get("renormalize", False)
@@ -621,10 +603,8 @@ _BINORMAL_KEYS = {"n", "radius", "t_span", "dt", "record_every", "checks"}
 
 def run_binormal(cfg, rng):
     _reject_unknown(cfg, _BINORMAL_KEYS)
-    n = cfg.get("n", 128)
-    if not _is_count(n) or n < 4:
-        raise ConfigError("config key 'n' must be an integer >= 4")
-    r = _positive({"radius": 1.0, **cfg}, "radius")
+    n = _count(cfg, "n", 128, least=4)
+    r = _positive(cfg, "radius", 1.0)
     gamma0 = loopgroup.circle_curve(n, r)
     traj = loopgroup.integrate_binormal(gamma0, _t_span(cfg), _stepper(cfg),
                                         record_every=_record_every(cfg))
@@ -644,9 +624,7 @@ _CH_KEYS = {"n", "kappa", "initial", "t_span", "dt", "record_every", "checks"}
 
 def run_camassa_holm(cfg, rng):
     _reject_unknown(cfg, _CH_KEYS)
-    n = cfg.get("n", 256)
-    if not _is_count(n) or n < 4:
-        raise ConfigError("config key 'n' must be an integer >= 4")
+    n = _count(cfg, "n", 256, least=4)
     kappa = _real(cfg, "kappa", 0.0)
     u0 = _fourier_1d(n, cfg.get("initial", {"modes": [{"k": 1, "cos": 0.1}]}))
     m0 = camassaholm.helmholtz_apply(u0)
@@ -678,29 +656,24 @@ def run_odd_fluid(cfg, rng):
     system = cfg.get("system", "base")
     if system not in ("base", "effective", "extended"):
         raise ConfigError(f"config key 'system' must name a fluid system, got {system!r}")
-    n = cfg.get("n", 64)
-    if not _is_count(n) or n < 4:
-        raise ConfigError("config key 'n' must be an integer >= 4")
+    n = _count(cfg, "n", 64, least=4)
     eos_spec = cfg.get("eos", {"kind": "isothermal", "c": 1.0})
     eos_kind = _require(eos_spec, "kind", str, where="eos.")
     if eos_kind == "isothermal":
         _reject_unknown(eos_spec, {"kind", "c"}, where="eos")
-        eos = ("isothermal", _positive({"c": 1.0, **eos_spec}, "c", where="eos."))
+        eos = ("isothermal", _positive(eos_spec, "c", 1.0, where="eos."))
     elif eos_kind == "polytropic2":
         _reject_unknown(eos_spec, {"kind", "kappa"}, where="eos")
-        eos = ("polytropic2", _positive({"kappa": 0.5, **eos_spec}, "kappa", where="eos."))
+        eos = ("polytropic2", _positive(eos_spec, "kappa", 0.5, where="eos."))
     else:
         raise ConfigError(f"unknown equation of state {eos_kind!r}")
-    for key in ("eta_H", "Gamma_H"):
-        if not _is_real(cfg.get(key, 0.0)):
-            raise ConfigError(f"config key {key!r} must be a finite number")
-    eta, gamma = float(cfg.get("eta_H", 0.0)), float(cfg.get("Gamma_H", 0.0))
+    eta, gamma = _real(cfg, "eta_H", 0.0), _real(cfg, "Gamma_H", 0.0)
     params = oddfluid.FluidParams(
         eos=eos,
         eta_H=lambda rho: eta + 0.0 * rho,
         Gamma_H=lambda rho: gamma + 0.0 * rho,
-        mu=_positive(cfg, "mu") if "mu" in cfg else 1.0,
-        nu=_positive(cfg, "nu") if "nu" in cfg else 1.0,
+        mu=_positive(cfg, "mu", 1.0),
+        nu=_positive(cfg, "nu", 1.0),
     )
     init = cfg.get("initial", {})
     _reject_unknown(init, {"rho", "vx", "vy", "ell"}, where="initial")
@@ -743,9 +716,7 @@ _BURGERS_KEYS = {"n", "potential", "t_span", "dt", "record_every", "checks"}
 
 def run_burgers(cfg, rng):
     _reject_unknown(cfg, _BURGERS_KEYS)
-    n = cfg.get("n", 128)
-    if not _is_count(n) or n < 4:
-        raise ConfigError("config key 'n' must be an integer >= 4")
+    n = _count(cfg, "n", 128, least=4)
     f0 = _fourier_2d(n, _require(cfg, "potential", dict), where="potential")
     u0 = masstransport.gradient(f0)
     t_span, stepper, re = _t_span(cfg), _stepper(cfg), _record_every(cfg)

@@ -52,13 +52,15 @@ def eps_gram(A, constraints):
 
 
 def _constrained_flow(A, constraints):
-    """m -> (m', lambda) of the constrained momentum flow.
+    """The map m -> (m', lambda) of the constrained momentum flow, and A^{-1}.
 
     A^{-1}, the Gram matrix and its conditioning do not depend on m and are
     computed once here.
     """
-    A = _as_operator(A)
-    Ainv = np.linalg.inv(A)
+    try:
+        Ainv = np.linalg.inv(_as_operator(A))
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram("inertia operator A is singular") from exc
     a = np.asarray(constraints, dtype=float).reshape(-1, 3)
     if len(a) > 2:
         raise ValueError("at most two independent constraints on a 3d algebra")
@@ -76,7 +78,7 @@ def _constrained_flow(A, constraints):
             raise SingularGram("constraint Gram matrix is singular") from exc
         return [f + c for f, c in zip(free, (a.T @ lam).tolist())], lam
 
-    return flow
+    return flow, Ainv
 
 
 def eps_rhs(m, A, constraints):
@@ -85,7 +87,8 @@ def eps_rhs(m, A, constraints):
     The multipliers solve the linear system that keeps every pairing
     <a_i, A^{-1} m> constant along the flow.
     """
-    mdot, lam = _constrained_flow(A, constraints)(np.asarray(m, dtype=float))
+    flow, _ = _constrained_flow(A, constraints)
+    mdot, lam = flow(np.asarray(m, dtype=float))
     return np.array(mdot), lam
 
 
@@ -127,8 +130,7 @@ def integrate_lie(flow, m0, t_span, stepper, record_every=1):
     elif kind == "constrained":
         A = _as_operator(flow[1])
         constraints = np.asarray(flow[2], dtype=float).reshape(-1, 3)
-        Ainv = np.linalg.inv(A)
-        flow_at = _constrained_flow(A, constraints)
+        flow_at, Ainv = _constrained_flow(A, constraints)
 
         def rhs(t, m):
             return flow_at(m)[0]

@@ -9,6 +9,7 @@ loop only skips numpy's per-call overhead on 3-8 element states.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,12 +18,12 @@ from nonholo.errors import NonFinite
 
 @dataclass(frozen=True)
 class Stepper:
-    scheme: str = "rk4"
+    scheme: ClassVar[str] = "rk4"
     dt: float = 1e-3
 
     @classmethod
     def rk4(cls, dt):
-        return cls(scheme="rk4", dt=dt)
+        return cls(dt=dt)
 
     def as_dict(self):
         return {"scheme": self.scheme, "dt": self.dt}
@@ -44,9 +45,19 @@ def _rk4_arrays(rhs, t, y, h, k1):
 def _rk4_floats(rhs, t, y, h, k1):
     # numpy's order of operations: y + (0.5 h) k, y + (h/6)(((k1 + 2 k2) + 2 k3) + k4)
     a = 0.5 * h
-    k2 = rhs(t + a, [v + a * k for v, k in zip(y, k1)])
-    k3 = rhs(t + a, [v + a * k for v, k in zip(y, k2)])
-    k4 = rhs(t + h, [v + h * k for v, k in zip(y, k3)])
+    z = y
+    try:
+        z = [v + a * k for v, k in zip(y, k1)]
+        k2 = rhs(t + a, z)
+        z = [v + a * k for v, k in zip(y, k2)]
+        k3 = rhs(t + a, z)
+        z = [v + h * k for v, k in zip(y, k3)]
+        k4 = rhs(t + h, z)
+    except ValueError:
+        # math.sin/math.cos raise on +-inf where numpy gives NaN; a non-finite
+        # stage makes the array loop's state non-finite in this same step
+        _check_finite(z, "state during integration")
+        raise
     c = h / 6.0
     return [v + c * (p + 2.0 * q + 2.0 * r + s) for v, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
@@ -76,7 +87,8 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
 
     k1 = rhs(t0, y)
     if isinstance(k1, list):
-        stage, y = _rk4_floats, y.tolist()
+        # plain floats from here on; k1 was computed from numpy scalars
+        stage, y, k1 = _rk4_floats, y.tolist(), [float(k) for k in k1]
     else:
         stage = _rk4_arrays
     times = [t0]

@@ -111,6 +111,19 @@ class TestExitCodes:
         code, _, err = run_cli(["car", "--config", cfg])
         assert code == EXIT_NUMERICAL and "SteeringOutOfRange" in err
 
+    @pytest.mark.parametrize("command, cfg, error", [
+        # theta overflows inside an RK4 step, where math.cos raises on inf
+        ("skate", {"system": "reduced", "g": 1.0, "mu": 1e5}, "NonFinite"),
+        ("euler-suslov", {"flow": {"kind": "constrained", "A": [1, 0, 3],
+                                   "constraints": [[0, 0, 1]]}, "m0": [1, 2, 0]},
+         "SingularGram"),
+    ])
+    def test_numerical_failure_without_traceback(self, tmp_path, command, cfg, error):
+        cfg = {"t_span": [0, 1.0], "dt": 1e-3, **cfg}
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_NUMERICAL and out == ""
+        assert error in err and "Traceback" not in err
+
 
     @pytest.mark.parametrize("command, cfg, field", [
         ("flag", {"kind": "trailer", "n": 1, "points": 2, "tol": float("nan")}, "tol"),

@@ -46,6 +46,11 @@ class TestSteppers:
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
             integrate(rhs, [1.0], (0.0, 1.1), Stepper.rk4(1e-2))
 
+    def test_rk4_is_the_only_scheme(self):
+        assert Stepper.rk4(0.1).as_dict() == {"scheme": "rk4", "dt": 0.1}
+        with pytest.raises(TypeError):
+            Stepper(scheme="rk45", dt=0.1)
+
     def test_rk4_fourth_order_convergence(self):
         rhs = lambda t, y: y
         errs = []

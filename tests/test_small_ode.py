@@ -10,12 +10,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonholo.driving import ControlSignal, rig_distribution, simulate_rig, sine_control
+from nonholo.driving import (
+    ControlSignal,
+    piecewise_control,
+    rig_distribution,
+    simulate_rig,
+    sine_control,
+)
 from nonholo.errors import NonFinite
 from nonholo.liealg import eps_rhs, euler_arnold_rhs, integrate_lie
 from nonholo.loopgroup import integrate_ll, ll_rhs, magnon
 from nonholo.numkit import Stepper, integrate
-from nonholo.skate import integrate_skate, lda_rhs, reduced_rhs, regularized_rhs
+from nonholo.skate import (
+    FIG_INITIAL,
+    _reduced,
+    initial_reduced,
+    integrate_skate,
+    lda_rhs,
+    reduced_rhs,
+    regularized_rhs,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -171,6 +185,21 @@ def test_rig_float_loop_is_bit_identical(rig, a1, w1, a2, w2, q, schedule):
     assert_same(traj, ref)
 
 
+def test_piecewise_rig_float_loop_is_bit_identical():
+    breaks, values1, values2 = [0.0, 0.3, 0.7, 1.0], [0.2, -0.1, 0.3], [1.0, 0.5, -1.0]
+    controls = piecewise_control(breaks, values1, values2)
+    g1, g2 = rig_distribution("unicycle", 2).generators
+    b, v1, v2 = np.array(breaks), np.array(values1), np.array(values2)
+
+    def rhs_np(t, y):
+        k = int(np.clip(np.searchsorted(b, t, side="right") - 1, 0, len(v1) - 1))
+        return v1[k] * g1.at(y) + v2[k] * g2.at(y)
+
+    q0 = np.array([0.1, -0.2, 0.3, 0.1, -0.4])
+    traj = simulate_rig("unicycle", 2, controls, q0, (0.0, 1.2345), Stepper.rk4(1e-2))
+    assert_same(traj, integrate(rhs_np, q0, (0.0, 1.2345), Stepper.rk4(1e-2)))
+
+
 # ---------------------------------------------------------------------------
 # Suslov
 
@@ -231,6 +260,45 @@ def test_blow_up_raises_at_the_same_step_in_both_loops(y0, dt):
             with pytest.raises(NonFinite, match="state during integration"):
                 integrate(rhs, [y0], (0.0, 3.0 / y0), Stepper.rk4(dt))
     assert len(float_calls) == len(array_calls) and len(float_calls) % 4 == 0
+
+
+@pytest.mark.parametrize("mu, dt", [(1e5, 1e-3), (1e4, 1e-2)])
+def test_a_trig_rhs_that_blows_up_raises_at_the_same_step_in_both_loops(mu, dt):
+    # mu dt far past RK4's stability bound: lam, then omega and theta overflow
+    # inside a step, where math.cos raises on inf and np.cos gives NaN
+    y0 = initial_reduced(**FIG_INITIAL)
+    with pytest.raises(NonFinite, match="state during integration") as info:
+        integrate_skate("reduced", y0, 1.0, (0.0, 5.0), Stepper.rk4(dt), mu=mu)
+    assert isinstance(info.value.__context__, ValueError)
+    float_rhs, float_calls = counted(lambda t, s: _reduced(s, 1.0, mu))
+    array_rhs, array_calls = counted(lambda t, s: reduced_np(s, 1.0, mu))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rhs in (float_rhs, array_rhs):
+            with pytest.raises(NonFinite, match="state during integration"):
+                integrate(rhs, y0, (0.0, 5.0), Stepper.rk4(dt))
+    # the float loop stops at the failing stage, the array loop after the step
+    assert len(array_calls) % 4 == 0 and -(-len(float_calls) // 4) == len(array_calls) // 4
+
+
+def test_a_float_rhs_error_on_finite_stages_is_not_hidden():
+    def rhs(t, y):
+        if t > 0.0:
+            raise ValueError("bad input")
+        return [-v for v in y]
+
+    with pytest.raises(ValueError, match="bad input"):
+        integrate(rhs, [1.0], (0.0, 0.01), Stepper.rk4(1e-3))
+
+
+def test_the_float_loop_carries_plain_floats():
+    seen = []
+
+    def rhs(t, y):
+        seen.append({type(v) for v in y})
+        return [-v for v in y]
+
+    integrate(rhs, np.array([1.0, 2.0]), (0.0, 0.0105), Stepper.rk4(1e-3))
+    assert seen[0] == {np.float64} and all(kinds == {float} for kinds in seen[1:])
 
 
 def test_an_array_rhs_keeps_the_array_loop():

@@ -416,24 +416,40 @@ def _head_path(spec):
         r = _positive(spec, "radius", 1.0, where="path.")
         turns = _positive(spec, "turns", 3.0, where="path.")
         n = _count(spec, "samples", 400, where="path.", least=4)
-        return snake.HeadPath.from_function(
+        fields = "keys 'path.radius', 'path.turns' and 'path.samples' give"
+        build = lambda: snake.HeadPath.from_function(
             lambda t: np.array([r * np.cos(t / r), r * np.sin(t / r)]),
             (0.0, turns * 2 * np.pi * r), n=n,
         )
-    if kind == "line":
+    elif kind == "line":
         _reject_unknown(spec, {"kind", "length", "samples"}, where="path")
         length = _positive(spec, "length", 10.0, where="path.")
         n = _count(spec, "samples", 200, where="path.", least=4)
-        return snake.HeadPath.from_function(lambda t: np.array([t, 0.0]), (0.0, length), n=n)
-    if kind == "points":
+        fields = "keys 'path.length' and 'path.samples' give"
+        build = lambda: snake.HeadPath.from_function(lambda t: np.array([t, 0.0]), (0.0, length), n=n)
+    elif kind == "points":
         _reject_unknown(spec, {"kind", "points"}, where="path")
         points = _require(spec, "points", list, where="path.")
         if len(points) < 4 or not all(
             isinstance(p, list) and len(p) == 2 and all(_is_real(c) for c in p) for p in points
         ):
             raise ConfigError("config key 'path.points' must be at least 4 [x, y] pairs of finite numbers")
-        return snake.HeadPath(np.asarray(points, dtype=float))
-    raise ConfigError(f"unknown path kind {kind!r}")
+        fields = "key 'path.points' gives"
+        build = lambda: snake.HeadPath(np.asarray(points, dtype=float))
+    else:
+        raise ConfigError(f"unknown path kind {kind!r}")
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"config {fields} an unusable head path: {exc}") from exc
+
+
+def _grid(start, stop, samples, key):
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(start, stop, samples)
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ConfigError(f"config key {key!r} spans too little or too much for its samples")
+    return grid
 
 
 def run_snake(cfg, rng):
@@ -452,11 +468,11 @@ def run_snake(cfg, rng):
     t0, t1 = _real(tg, "t0", 0.0, where="t_grid."), _real(tg, "t1", where="t_grid.")
     if t1 <= t0:
         raise ConfigError("config key 't_grid.t1' must exceed 't_grid.t0'")
-    t_grid = np.linspace(t0, t1, _count(tg, "samples", 25, where="t_grid.", least=3))
+    t_grid = _grid(t0, t1, _count(tg, "samples", 25, where="t_grid.", least=3), "t_grid")
     sg = _require(cfg, "s_grid", dict)
     _reject_unknown(sg, {"length", "samples"}, where="s_grid")
-    s_grid = np.linspace(0.0, _positive(sg, "length", where="s_grid."),
-                         _count(sg, "samples", 51, where="s_grid.", least=3))
+    s_grid = _grid(0.0, _positive(sg, "length", where="s_grid."),
+                   _count(sg, "samples", 51, where="s_grid.", least=3), "s_grid")
     head = _head_path(_require(cfg, "path", dict))
     frames = snake.snake_evolve(head, f, t_grid, s_grid)
     L = float(s_grid[-1])

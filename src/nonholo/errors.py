@@ -18,7 +18,7 @@ class DomainExceeded(ValueError):
 
 
 class SingularGram(ArithmeticError):
-    """Constraint Gram matrix is singular; multipliers are undetermined."""
+    """A Gram, inertia or mass matrix is singular; the motion is undetermined."""
 
 
 class NegativeDensity(ArithmeticError):

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from nonholo.errors import SingularGram
 from nonholo.numkit import Stepper, integrate
 from nonholo.trajectory import Trajectory
 
@@ -89,7 +90,13 @@ def _regularized(s, g, nu, alpha):
         -g - (phi / alpha) * sn - (phi * td / nu) * cs - (td * rho / nu) * sn,
         (phi / alpha) * cs + (td * rho / nu) * cs - (phi * td / nu) * sn,
     ]
-    acc = np.linalg.solve(M, b).tolist()
+    try:
+        acc = np.linalg.solve(M, b).tolist()
+    except np.linalg.LinAlgError as exc:
+        # in floating point 1 + sin^2/nu loses the 1 once nu is below ~1e-16
+        raise SingularGram(
+            f"mass matrix I + n n^T/nu is singular in floating point at nu = {nu!r}"
+        ) from exc
     return [xd, yd, td, acc[0], acc[1], phi * rho / nu]
 
 

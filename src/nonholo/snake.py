@@ -6,11 +6,12 @@ with s measured back from the head.  The balanced sleigh pulling such a
 string follows the free sleigh's trajectory (a circle or a line), and
 every string point replays the contact point's path with a constant time
 delay.
+
+scipy (quadrature and splines) is imported inside the functions that use
+it, so importing this module, and with it the CLI, does not load scipy.
 """
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from nonholo.errors import DomainExceeded
 from nonholo.skate import LDA_COLUMNS, integrate_skate, initial_reduced
@@ -28,6 +29,9 @@ class HeadPath:
     """
 
     def __init__(self, points):
+        from scipy.integrate import quad
+        from scipy.interpolate import CubicSpline
+
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or len(points) < 4:
             raise ValueError("head path needs at least 4 planar sample points")
@@ -55,8 +59,12 @@ class HeadPath:
                 ),
             ]
         )
-        self._inv = CubicSpline(dense_s, dense_tau)
         self._dense_s_max = float(dense_s[-1])
+        if not (np.all(np.diff(dense_s) > 0) and np.isfinite(self._dense_s_max)):
+            raise ValueError(
+                f"arclength must be finite and increasing, got length {self._dense_s_max!r}"
+            )
+        self._inv = CubicSpline(dense_s, dense_tau)
 
     @classmethod
     def from_function(cls, func, t_span, n=200):
@@ -114,6 +122,9 @@ def frame_arclength(frame, s_grid=None):
     when given, by chord length otherwise) recovers the smooth curve's
     length far more accurately than the raw polyline sum.
     """
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
+
     frame = np.asarray(frame, dtype=float)
     if s_grid is None:
         chord = np.linalg.norm(np.diff(frame, axis=0), axis=1)
@@ -159,6 +170,8 @@ def sleigh_with_string(v0, omega0, L, t_span, stepper=None, n_string=50, record_
     initially straight string translating along the initial tangent.
     Returns (contact-point Trajectory, frames of string positions).
     """
+    from scipy.interpolate import CubicSpline
+
     if L <= 0:
         raise ValueError("string length must be positive")
     if v0 == 0:

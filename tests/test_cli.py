@@ -216,6 +216,35 @@ class TestExitCodes:
         assert code == EXIT_CONFIG and out == ""
         assert "config key" in err and repr(field) in err and "Traceback" not in err
 
+    def test_singular_regularized_mass_matrix_names_nu(self, tmp_path):
+        # 1 + sin^2(theta)/nu loses the 1, so the mass matrix is singular in floats
+        cfg = {**self.RUN, "system": "regularized", "nu": 1e-17, "alpha": 0.01}
+        code, out, err = run_cli(["skate", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_NUMERICAL and out == ""
+        assert "mass matrix" in err and "nu" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("path, field", [
+        ({"kind": "points", "points": [[0, 0], [0, 0], [0, 0], [0, 0]]}, "path.points"),
+        ({"kind": "circle", "radius": 1e-300}, "path.radius"),
+        ({"kind": "circle", "radius": 1e300}, "path.radius"),
+        ({"kind": "line", "length": 5e-324}, "path.length"),
+    ])
+    def test_degenerate_head_path_names_the_field(self, tmp_path, path, field):
+        cfg = {**self.SNAKE, "path": path}
+        code, out, err = run_cli(["snake", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG and out == ""
+        assert repr(field) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("grid, field", [
+        ({"s_grid": {"length": 5e-324, "samples": 5}}, "s_grid"),
+        ({"t_grid": {"t0": -1.7976931348623157e308, "t1": 1.7976931348623157e308}}, "t_grid"),
+    ])
+    def test_snake_grids_that_cannot_hold_their_samples(self, tmp_path, grid, field):
+        cfg = {**self.SNAKE, **grid}
+        code, out, err = run_cli(["snake", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG and out == ""
+        assert f"config key {field!r}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("cfg, field", [
         ({"kind": "trailer", "n": 7, "points": 1}, "n"),
         ({"kind": "goursat", "n": 10, "points": 1}, "n"),

@@ -20,7 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonholo.cli import main
@@ -119,13 +119,13 @@ def _apply(cfg, overrides):
                 break
         else:
             try:
-                parent[path[-1]] = copy.deepcopy(value)
+                parent[path[-1]] = value
             except (IndexError, TypeError):
                 pass
     return cfg
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None)
 @given(case=st.one_of(_cases("skate", horizon=True), _cases("snake"), _cases("flag")))
 @example(case=("skate", 0, [(("system",), "regularized"), (("nu",), 1e-17), (("alpha",), 0.01)]))
 @example(case=("snake", 2, [(("path", "points"), [[0, 0], [0, 0], [0, 0], [0, 0]])]))

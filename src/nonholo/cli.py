@@ -1,44 +1,45 @@
 """Command-line front end: every system as a subcommand.
 
 Each subcommand reads a JSON config (``--config`` or a bundled ``--preset``),
-runs the system, prints a JSON summary to stdout, and optionally writes CSV
-and SVG artifacts into ``--out``.  Declared invariant checks are evaluated
-post hoc on the recorded ledger; with ``--check`` a failed check sets exit
-code 3.  Exit codes: 0 success, 1 config error, 2 numerical failure,
-3 check out of tolerance.
+checks it against the subcommand's table in ``SCHEMAS``, runs the system,
+prints a JSON summary to stdout, and optionally writes CSV and SVG artifacts
+into ``--out``.  Declared invariant checks are evaluated post hoc on the
+recorded ledger; with ``--check`` a failed check sets exit code 3.  Exit
+codes: 0 success, 1 config error, 2 numerical failure, 3 check out of
+tolerance.
 """
 
 import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from nonholo import camassaholm, distributions, driving, liealg, loopgroup
+from nonholo import camassaholm, distributions, driving, errors, liealg, loopgroup
 from nonholo import masstransport, oddfluid, skate, snake, trajectory
-from nonholo.errors import (
-    DomainExceeded,
-    JetTableTooLarge,
-    NegativeDensity,
-    NonFinite,
-    SingularGram,
-    SteeringOutOfRange,
-)
 from nonholo.numkit import Stepper
-
-
-class ConfigError(ValueError):
-    """The run configuration is malformed; the message names the field."""
-
+from nonholo.schema import (
+    REQUIRED,
+    Bool,
+    Choice,
+    ConfigError,
+    Int,
+    ListOf,
+    Obj,
+    Real,
+    Reals,
+    Variant,
+)
 
 _NUMERICAL_ERRORS = (
-    NonFinite,
-    NegativeDensity,
-    SingularGram,
-    SteeringOutOfRange,
-    DomainExceeded,
+    errors.NonFinite,
+    errors.NegativeDensity,
+    errors.SingularGram,
+    errors.SteeringOutOfRange,
+    errors.DomainExceeded,
 )
 
 EXIT_OK = 0
@@ -48,142 +49,164 @@ EXIT_CHECK = 3
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schema: one table per subcommand, each key declared once
+
+# upper bounds of the counts in a config
+MAX_DIM = 64  # trailers of a rig; flag n and s
+MAX_SAMPLES = 10_000  # snake grid and head-path samples, sleigh string points, flag points
+MAX_GRID_1D = 4096  # spectral n of heisenberg, binormal and camassa-holm
+MAX_GRID_2D = 512  # spectral n of odd-fluid and burgers
+MAX_ENTRIES = 256  # Fourier modes of one field; declared checks
+MAX_COUNT = 10**9  # record_every; the size of a Fourier or magnon wavenumber
+
+_CHECKS = {
+    "checks": ListOf(Obj({"name": Choice(), "tol": Real(0.0, low=0.0)}), MAX_ENTRIES, []),
+}
+_RUN = {
+    "t_span": Reals((2,)),
+    "dt": Real(1e-3, positive=True),
+    "record_every": Int(1, MAX_COUNT, 1),
+    **_CHECKS,
+}
 
 
-def _is_real(value):
-    """A finite JSON number; booleans do not count as numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+def _fourier(*axes, default=REQUIRED):
+    """Mean plus cos/sin modes; each mode has one integer wavenumber per axis."""
+    mode = {axis: Int(-MAX_COUNT, MAX_COUNT) for axis in axes}
+    mode.update(cos=Real(0.0), sin=Real(0.0))
+    return Obj({"mean": Real(0.0), "modes": ListOf(Obj(mode), MAX_ENTRIES, [])}, default)
 
 
-def _is_count(value):
-    """A JSON integer that is not a boolean."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_OPERATOR = Reals((3,), (3, 3))  # a 3x3 operator by its diagonal or by its rows
+_RIG = {
+    "n": Int(0, MAX_DIM, 0),
+    "controls": Variant({
+        "constant": {"u1": Real(0.0), "u2": Real(0.0)},
+        "sine": {"a1": Real(0.0), "w1": Real(1.0), "a2": Real(0.0), "w2": Real(1.0)},
+        "piecewise": {"breaks": Reals((None,)), "values1": Reals((None,)),
+                      "values2": Reals((None,))},
+    }),
+    "initial": Reals((None,), default=None),
+    **_RUN,
+}
+
+SCHEMAS = {command: Obj(fields) for command, fields in {
+    "skate": {
+        "system": Choice("reduced", "lda", "regularized"),
+        "g": Real(0.0, low=0.0),
+        "mu": Real(0.0, low=0.0),
+        "nu": Real(None, positive=True),
+        "alpha": Real(None, positive=True),
+        "initial": Obj({
+            "x": Real(0.0), "y": Real(0.0), "theta": Real(0.0),
+            "v": Real(1.0), "omega": Real(0.0), "lam": Real(0.0),
+        }, skate.FIG_INITIAL),
+        **_RUN,
+    },
+    "trailer": _RIG,
+    "car": {**_RIG, "l": Real(1.0, positive=True)},
+    "flag": {
+        "kind": Choice("unicycle", "trailer", "car", "car-trailer", "goursat", "cartan"),
+        "n": Int(0, MAX_DIM, 0),
+        "s": Int(1, MAX_DIM, 1),
+        "l": Real(1.0, positive=True),
+        "points": Int(1, MAX_SAMPLES, 20),
+        "tol": Real(distributions.DEFAULT_RANK_TOL, positive=True),
+        **_CHECKS,
+    },
+    "snake": {
+        "path": Variant({
+            "circle": {"radius": Real(1.0, positive=True), "turns": Real(3.0, positive=True),
+                       "samples": Int(4, MAX_SAMPLES, 400)},
+            "line": {"length": Real(10.0, positive=True), "samples": Int(4, MAX_SAMPLES, 200)},
+            "points": {"points": Reals((None, 2))},
+        }),
+        "f": Variant({"linear": {"speed": Real(1.0), "offset": Real(0.0)}}, {"kind": "linear"}),
+        "t_grid": Obj({"t0": Real(0.0), "t1": Real(), "samples": Int(3, MAX_SAMPLES, 25)}),
+        "s_grid": Obj({"length": Real(positive=True), "samples": Int(3, MAX_SAMPLES, 51)}),
+        **_CHECKS,
+    },
+    "sleigh": {
+        "v0": Real(),
+        "omega0": Real(0.0),
+        "L": Real(1.0, positive=True),
+        "n_string": Int(2, MAX_SAMPLES, 50),
+        **_RUN,
+    },
+    "euler-suslov": {
+        "flow": Variant({
+            "free": {"B": _OPERATOR},
+            "constrained": {"A": _OPERATOR, "constraints": Reals((1, 3), (2, 3))},
+        }),
+        "m0": Reals((3,)),
+        **_RUN,
+    },
+    "heisenberg": {
+        "n": Int(4, MAX_GRID_1D, 128, pow2=True),
+        "initial": Variant({"magnon": {"k": Int(1, MAX_COUNT, 1), "eps": Real(0.3)}},
+                           {"kind": "magnon"}),
+        "renormalize": Bool(False),
+        **_RUN,
+    },
+    "binormal": {
+        "n": Int(4, MAX_GRID_1D, 128, pow2=True),
+        "radius": Real(1.0, positive=True),
+        **_RUN,
+    },
+    "camassa-holm": {
+        "n": Int(4, MAX_GRID_1D, 256, pow2=True),
+        "kappa": Real(0.0),
+        "initial": _fourier("k", default={"modes": [{"k": 1, "cos": 0.1}]}),
+        **_RUN,
+    },
+    "odd-fluid": {
+        "system": Choice("base", "effective", "extended", default="base"),
+        "n": Int(4, MAX_GRID_2D, 64, pow2=True),
+        "eos": Variant({
+            "isothermal": {"c": Real(1.0, positive=True)},
+            "polytropic2": {"kappa": Real(0.5, positive=True)},
+        }, {"kind": "isothermal"}),
+        "eta_H": Real(0.0),
+        "Gamma_H": Real(0.0),
+        "mu": Real(1.0, positive=True),
+        "nu": Real(1.0, positive=True),
+        "initial": Obj({
+            "rho": _fourier("kx", "ky", default={"mean": 1.0}),
+            **{key: _fourier("kx", "ky", default={}) for key in ("vx", "vy", "ell")},
+        }, {}),
+        **_RUN,
+    },
+    "burgers": {
+        "n": Int(4, MAX_GRID_2D, 128, pow2=True),
+        "potential": _fourier("kx", "ky"),
+        **_RUN,
+    },
+}.items()}
 
 
-def _require(cfg, key, kind=None, where=""):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {where}{key!r}")
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"config key {where}{key!r} has wrong type")
-    return value
+# ---------------------------------------------------------------------------
+# cross-field checks and shared helpers; runners read configs checked by SCHEMAS
 
 
-def _reject_unknown(cfg, allowed, where="config"):
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
-# _positive, _real and _count read ``key`` from ``cfg``; when it is absent
-# they give ``default``, or fail when there is no default.
-
-
-def _value(cfg, key, default, where):
-    return _require(cfg, key, where=where) if default is None else cfg.get(key, default)
-
-
-def _positive(cfg, key, default=None, where=""):
-    value = _value(cfg, key, default, where)
-    if not _is_real(value) or not value > 0:
-        raise ConfigError(f"config key {where}{key!r} must be positive, got {value!r}")
-    return float(value)
-
-
-def _real(cfg, key, default=None, where=""):
-    """A finite number, as a float."""
-    value = _value(cfg, key, default, where)
-    if not _is_real(value):
-        raise ConfigError(f"config key {where}{key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _reals(cfg, key, where=""):
-    """The list of finite numbers under ``key``, as floats."""
-    values = _require(cfg, key, list, where=where)
-    if not all(_is_real(v) for v in values):
-        raise ConfigError(f"config key {where}{key!r} must be a list of finite numbers")
-    return [float(v) for v in values]
-
-
-def _count(cfg, key, default=None, where="", least=1):
-    """An integer >= least."""
-    value = _value(cfg, key, default, where)
-    if not _is_count(value) or value < least:
-        raise ConfigError(f"config key {where}{key!r} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _t_span(cfg):
-    ts = _require(cfg, "t_span", list)
-    if len(ts) != 2 or not all(_is_real(v) for v in ts) or ts[1] <= ts[0]:
-        raise ConfigError("config key 't_span' must be [t0, t1] of finite numbers with t1 > t0")
-    return float(ts[0]), float(ts[1])
-
-
-def _stepper(cfg):
-    dt = cfg.get("dt", 1e-3)
-    if not _is_real(dt) or dt <= 0:
-        raise ConfigError("config key 'dt' must be a positive finite number")
-    t0, t1 = _t_span(cfg)
+def _horizon(cfg):
+    """(t_span, RK4 stepper) of a run whose span and step give a finite step count."""
+    (t0, t1), dt = cfg["t_span"], cfg["dt"]
+    if t1 <= t0:
+        raise ConfigError("config key 't_span' must be [t0, t1] with t1 > t0")
     if not math.isfinite((t1 - t0) / dt):
         raise ConfigError("config keys 't_span' and 'dt' give a non-finite step count")
-    return Stepper.rk4(float(dt))
+    return (t0, t1), Stepper.rk4(dt)
 
 
-def _record_every(cfg):
-    return _count(cfg, "record_every", 1)
-
-
-def _checks(cfg):
-    entries = cfg.get("checks", [])
-    if not isinstance(entries, list):
-        raise ConfigError("config key 'checks' must be a list")
-    out = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ConfigError("each check must be an object")
-        _reject_unknown(entry, {"name", "tol"}, where="check")
-        name = _require(entry, "name", str, where="checks.")
-        tol = entry.get("tol", 0.0)
-        if not _is_real(tol) or tol < 0:
-            raise ConfigError(f"config key 'tol' of check {name!r} must be nonnegative and finite")
-        out.append((name, float(tol)))
-    return out
-
-
-def _fourier_1d(n, spec, where="initial"):
-    """Sampled sum of cos/sin modes on [0, 2pi); spec = {mean, modes}."""
-    _reject_unknown(spec, {"mean", "modes"}, where=where)
+def _sampled(n, spec, *axes):
+    """Mean plus cos/sin modes of (k . x) on the [0, 2pi)^d grid with one axis per name."""
     x = np.arange(n) * (2.0 * np.pi / n)
-    f = _real(spec, "mean", 0.0, where=f"{where}.") * np.ones(n)
-    for mode in spec.get("modes", []):
-        _reject_unknown(mode, {"k", "cos", "sin"}, where=f"{where} mode")
-        k = _require(mode, "k", int, where=f"{where}.")
-        f += _real(mode, "cos", 0.0, where=f"{where}.") * np.cos(k * x)
-        f += _real(mode, "sin", 0.0, where=f"{where}.") * np.sin(k * x)
-    return f
-
-
-def _fourier_2d(n, spec, where="initial"):
-    """Sampled sum of cos/sin modes of (kx*x + ky*y) on the [0,2pi)^2 grid."""
-    _reject_unknown(spec, {"mean", "modes"}, where=where)
-    x = np.arange(n) * (2.0 * np.pi / n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    f = _real(spec, "mean", 0.0, where=f"{where}.") * np.ones((n, n))
-    for mode in spec.get("modes", []):
-        _reject_unknown(mode, {"kx", "ky", "cos", "sin"}, where=f"{where} mode")
-        kx = _require(mode, "kx", int, where=f"{where}.")
-        ky = _require(mode, "ky", int, where=f"{where}.")
-        phase = kx * X + ky * Y
-        f += _real(mode, "cos", 0.0, where=f"{where}.") * np.cos(phase)
-        f += _real(mode, "sin", 0.0, where=f"{where}.") * np.sin(phase)
+    grid = np.meshgrid(*[x] * len(axes), indexing="ij")
+    f = spec["mean"] * np.ones(grid[0].shape)
+    for mode in spec["modes"]:
+        phase = sum((mode[a] * X for a, X in zip(axes[1:], grid[1:])), mode[axes[0]] * grid[0])
+        f += mode["cos"] * np.cos(phase)
+        f += mode["sin"] * np.sin(phase)
     return f
 
 
@@ -194,17 +217,14 @@ def _rel_drift(series):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (summary dict, check values dict, artifacts)
+# subcommand runners: each takes a config read through SCHEMAS[command] and
+# returns (summary dict, check values dict, artifacts)
 # artifacts: list of (filename, bytes, format-tag)
 
 
-def _traj_artifacts(traj, stem, svg_cols=None, title=None):
-    arts = [(f"{stem}.csv", trajectory.to_csv(traj), "csv")]
-    if svg_cols is not None:
-        arts.append(
-            (f"{stem}.svg", trajectory.to_svg(traj, svg_cols[0], svg_cols[1], title=title), "svg")
-        )
-    return arts
+def _traj_artifacts(traj, stem, title, cols=("x", "y")):
+    return [(f"{stem}.csv", trajectory.to_csv(traj), "csv"),
+            (f"{stem}.svg", trajectory.to_svg(traj, *cols, title=title), "svg")]
 
 
 def _traj_summary(traj):
@@ -217,127 +237,70 @@ def _traj_summary(traj):
     }
 
 
-_SKATE_KEYS = {
-    "system", "g", "mu", "nu", "alpha", "initial", "t_span", "dt",
-    "record_every", "checks",
-}
-_INITIAL_KEYS = {"x", "y", "theta", "v", "omega", "lam"}
-
-
 def run_skate(cfg, rng):
-    _reject_unknown(cfg, _SKATE_KEYS)
-    system = _require(cfg, "system", str)
-    if system not in ("reduced", "lda", "regularized"):
-        raise ConfigError(f"config key 'system' must name a skate system, got {system!r}")
-    g = cfg.get("g", 0.0)
-    if not _is_real(g) or g < 0:
-        raise ConfigError("config key 'g' must be a nonnegative finite number")
-    mu = cfg.get("mu", 0.0)
-    if not _is_real(mu) or mu < 0:
-        raise ConfigError("config key 'mu' must be a nonnegative finite number")
-    nu = alpha = None
+    system, initial = cfg["system"], cfg["initial"]
+    nu, alpha = (cfg["nu"], cfg["alpha"]) if system == "regularized" else (None, None)
     if system == "regularized":
-        if "nu" not in cfg or "alpha" not in cfg:
-            raise ConfigError("regularized skate needs 'nu' and 'alpha'")
-        nu, alpha = _positive(cfg, "nu"), _positive(cfg, "alpha")
-    initial = cfg.get("initial", dict(skate.FIG_INITIAL))
-    if not isinstance(initial, dict):
-        raise ConfigError("config key 'initial' has wrong type")
-    _reject_unknown(initial, _INITIAL_KEYS, where="initial")
-    initial = {key: _real(initial, key, where="initial.") for key in initial}
-    if system == "regularized":
+        if nu is None or alpha is None:
+            raise ConfigError("config keys 'nu' and 'alpha' are needed by the regularized skate")
         y0 = skate.initial_full(**{k: v for k, v in initial.items() if k != "lam"})
     else:
         y0 = skate.initial_reduced(**initial)
         if system == "lda":
             y0 = y0[:5]
     traj = skate.integrate_skate(
-        system, y0, float(g), _t_span(cfg), _stepper(cfg),
-        mu=float(mu), nu=nu, alpha=alpha, record_every=_record_every(cfg),
+        system, y0, cfg["g"], *_horizon(cfg),
+        mu=cfg["mu"], nu=nu, alpha=alpha, record_every=cfg["record_every"],
     )
     values = {"energy_rel_drift": _rel_drift(traj.ledger["energy"])}
     if "phi" in traj.ledger:
         values["phi_max"] = float(np.max(np.abs(traj.ledger["phi"])))
-    if system == "lda" and g == 0:
+    if system == "lda" and cfg["g"] == 0:
         _, _, r, resid = skate.fit_circle(traj.column("x"), traj.column("y"))
         values["circle_fit_residual"] = float(resid)
         values["circle_radius"] = float(r)
-    summary = _traj_summary(traj)
-    arts = _traj_artifacts(traj, f"skate-{system}", svg_cols=("x", "y"), title="contact-point path")
-    return summary, values, arts
+    arts = _traj_artifacts(traj, f"skate-{system}", "contact-point path")
+    return _traj_summary(traj), values, arts
 
 
-_RIG_KEYS = {"n", "l", "controls", "initial", "t_span", "dt", "record_every", "checks"}
-
-
-def _control_from_config(spec):
-    _require(spec, "kind", str, where="controls.")
+def _control(spec):
     kind = spec["kind"]
     if kind == "constant":
-        _reject_unknown(spec, {"kind", "u1", "u2"}, where="controls")
-        return driving.constant_control(
-            _real(spec, "u1", 0.0, where="controls."), _real(spec, "u2", 0.0, where="controls.")
-        )
+        return driving.constant_control(spec["u1"], spec["u2"])
     if kind == "sine":
-        _reject_unknown(spec, {"kind", "a1", "w1", "a2", "w2"}, where="controls")
-        return driving.sine_control(
-            *(_real(spec, key, default, where="controls.")
-              for key, default in (("a1", 0.0), ("w1", 1.0), ("a2", 0.0), ("w2", 1.0)))
+        return driving.sine_control(spec["a1"], spec["w1"], spec["a2"], spec["w2"])
+    breaks = spec["breaks"]
+    if len(breaks) < 2 or any(b >= c for b, c in zip(breaks, breaks[1:])):
+        raise ConfigError("config key 'controls.breaks' must be at least 2 increasing numbers")
+    if any(len(spec[key]) != len(breaks) - 1 for key in ("values1", "values2")):
+        raise ConfigError(
+            "config keys 'controls.values1' and 'controls.values2' need one value "
+            "per interval between breaks"
         )
-    if kind == "piecewise":
-        _reject_unknown(spec, {"kind", "breaks", "values1", "values2"}, where="controls")
-        breaks = _reals(spec, "breaks", where="controls.")
-        if len(breaks) < 2 or any(b >= c for b, c in zip(breaks, breaks[1:])):
-            raise ConfigError("config key 'controls.breaks' must be at least 2 increasing numbers")
-        values = [_reals(spec, key, where="controls.") for key in ("values1", "values2")]
-        if any(len(v) != len(breaks) - 1 for v in values):
-            raise ConfigError(
-                "config keys 'controls.values1' and 'controls.values2' need one value "
-                "per interval between breaks"
-            )
-        return driving.piecewise_control(breaks, *values)
-    raise ConfigError(f"unknown control kind {kind!r}")
+    return driving.piecewise_control(breaks, spec["values1"], spec["values2"])
 
 
-def _run_rig(name, cfg):
+def _run_rig(name, cfg, rng):
     kind = {"trailer": "unicycle", "car": "car"}[name]
-    _reject_unknown(cfg, _RIG_KEYS)
-    n = _count(cfg, "n", 0, least=0)
-    l = _positive(cfg, "l", 1.0) if kind == "car" else cfg.get("l", 1.0)
-    controls = _control_from_config(_require(cfg, "controls", dict))
-    q0 = cfg.get("initial")
+    n, q0 = cfg["n"], cfg["initial"]
     if q0 is None:
         q0 = driving.default_rig_start(kind, n)
     else:
-        q0 = np.asarray(_reals(cfg, "initial"))
+        q0 = np.asarray(q0)
         want = len(driving.rig_columns(kind, n))
         if q0.shape != (want,):
             raise ConfigError(f"config key 'initial' must have {want} components")
+    lengths = {"l": cfg["l"]} if kind == "car" else {}
     traj = driving.simulate_rig(
-        kind, n, controls, q0, _t_span(cfg), _stepper(cfg), l=l,
-        record_every=_record_every(cfg),
+        kind, n, _control(cfg["controls"]), q0, *_horizon(cfg), **lengths,
+        record_every=cfg["record_every"],
     )
     values = {"residual_max": float(np.max(traj.ledger["residual_max"]))}
-    summary = _traj_summary(traj)
-    arts = _traj_artifacts(traj, f"{name}-n{n}", svg_cols=("x", "y"), title=f"{name} path")
-    return summary, values, arts
-
-
-def run_trailer(cfg, rng):
-    return _run_rig("trailer", cfg)
-
-
-def run_car(cfg, rng):
-    return _run_rig("car", cfg)
-
-
-_FLAG_KEYS = {"kind", "n", "s", "l", "points", "tol", "checks"}
+    return _traj_summary(traj), values, _traj_artifacts(traj, f"{name}-n{n}", f"{name} path")
 
 
 def _flag_distribution(cfg):
-    kind = _require(cfg, "kind", str)
-    n = _count(cfg, "n", 0, least=0)
-    l = _positive(cfg, "l", 1.0)
+    kind, n, l = cfg["kind"], cfg["n"], cfg["l"]
     if kind == "unicycle":
         return distributions.unicycle_fields(), 3
     if kind == "trailer":
@@ -348,12 +311,9 @@ def _flag_distribution(cfg):
         return distributions.car_trailer_fields(n, l), n + 4
     if kind == "goursat":
         if n < 3:
-            raise ConfigError("goursat normal form needs n >= 3")
+            raise ConfigError("config key 'n' must be >= 3 for the goursat normal form")
         return distributions.goursat_normal_form(n), n
-    if kind == "cartan":
-        s = _count(cfg, "s", 1)
-        return distributions.cartan_distribution(s), s + 2
-    raise ConfigError(f"unknown distribution kind {kind!r}")
+    return distributions.cartan_distribution(cfg["s"]), cfg["s"] + 2
 
 
 def generic_point(kind, dim, rng):
@@ -379,17 +339,14 @@ def generic_point(kind, dim, rng):
 
 
 def run_flag(cfg, rng):
-    _reject_unknown(cfg, _FLAG_KEYS)
     dist, dim = _flag_distribution(cfg)
-    points = _count(cfg, "points", 20)
-    tol = _positive(cfg, "tol", distributions.DEFAULT_RANK_TOL)
-    kind = cfg["kind"]
+    kind, points = cfg["kind"], cfg["points"]
     reports = []
     try:
         for _ in range(points):
             p = generic_point(kind, dim, rng)
-            reports.append(distributions.derived_flag(dist, p, tol=tol))
-    except JetTableTooLarge as exc:
+            reports.append(distributions.derived_flag(dist, p, tol=cfg["tol"]))
+    except errors.JetTableTooLarge as exc:
         key = "s" if kind == "cartan" else "n"
         raise ConfigError(f"config key {key!r} is too large for the derived flag: {exc}") from exc
     non_goursat = sum(0 if r.goursat else 1 for r in reports)
@@ -406,38 +363,22 @@ def run_flag(cfg, rng):
     return summary, values, [(f"flag-{kind}.json", data, "json")]
 
 
-_SNAKE_KEYS = {"path", "f", "t_grid", "s_grid", "checks"}
-
-
 def _head_path(spec):
-    kind = _require(spec, "kind", str, where="path.")
+    kind = spec["kind"]
     if kind == "circle":
-        _reject_unknown(spec, {"kind", "radius", "turns", "samples"}, where="path")
-        r = _positive(spec, "radius", 1.0, where="path.")
-        turns = _positive(spec, "turns", 3.0, where="path.")
-        n = _count(spec, "samples", 400, where="path.", least=4)
+        r, turns, n = spec["radius"], spec["turns"], spec["samples"]
         fields = "keys 'path.radius', 'path.turns' and 'path.samples' give"
         build = lambda: snake.HeadPath.from_function(
             lambda t: np.array([r * np.cos(t / r), r * np.sin(t / r)]),
             (0.0, turns * 2 * np.pi * r), n=n,
         )
     elif kind == "line":
-        _reject_unknown(spec, {"kind", "length", "samples"}, where="path")
-        length = _positive(spec, "length", 10.0, where="path.")
-        n = _count(spec, "samples", 200, where="path.", least=4)
+        length, n = spec["length"], spec["samples"]
         fields = "keys 'path.length' and 'path.samples' give"
         build = lambda: snake.HeadPath.from_function(lambda t: np.array([t, 0.0]), (0.0, length), n=n)
-    elif kind == "points":
-        _reject_unknown(spec, {"kind", "points"}, where="path")
-        points = _require(spec, "points", list, where="path.")
-        if len(points) < 4 or not all(
-            isinstance(p, list) and len(p) == 2 and all(_is_real(c) for c in p) for p in points
-        ):
-            raise ConfigError("config key 'path.points' must be at least 4 [x, y] pairs of finite numbers")
-        fields = "key 'path.points' gives"
-        build = lambda: snake.HeadPath(np.asarray(points, dtype=float))
     else:
-        raise ConfigError(f"unknown path kind {kind!r}")
+        fields = "key 'path.points' gives"
+        build = lambda: snake.HeadPath(np.asarray(spec["points"], dtype=float))
     try:
         return build()
     except ValueError as exc:
@@ -453,27 +394,14 @@ def _grid(start, stop, samples, key):
 
 
 def run_snake(cfg, rng):
-    _reject_unknown(cfg, _SNAKE_KEYS)
-    f_spec = cfg.get("f", {"kind": "linear", "speed": 1.0, "offset": 0.0})
-    if not isinstance(f_spec, dict):
-        raise ConfigError("config key 'f' has wrong type")
-    _reject_unknown(f_spec, {"kind", "speed", "offset"}, where="f")
-    if f_spec.get("kind") != "linear":
-        raise ConfigError("config key 'f.kind' must be 'linear'")
-    speed = _real(f_spec, "speed", 1.0, where="f.")
-    offset = _real(f_spec, "offset", 0.0, where="f.")
+    speed, offset = cfg["f"]["speed"], cfg["f"]["offset"]
     f = lambda t: speed * t + offset
-    tg = _require(cfg, "t_grid", dict)
-    _reject_unknown(tg, {"t0", "t1", "samples"}, where="t_grid")
-    t0, t1 = _real(tg, "t0", 0.0, where="t_grid."), _real(tg, "t1", where="t_grid.")
-    if t1 <= t0:
+    tg, sg = cfg["t_grid"], cfg["s_grid"]
+    if tg["t1"] <= tg["t0"]:
         raise ConfigError("config key 't_grid.t1' must exceed 't_grid.t0'")
-    t_grid = _grid(t0, t1, _count(tg, "samples", 25, where="t_grid.", least=3), "t_grid")
-    sg = _require(cfg, "s_grid", dict)
-    _reject_unknown(sg, {"length", "samples"}, where="s_grid")
-    s_grid = _grid(0.0, _positive(sg, "length", where="s_grid."),
-                   _count(sg, "samples", 51, where="s_grid.", least=3), "s_grid")
-    head = _head_path(_require(cfg, "path", dict))
+    t_grid = _grid(tg["t0"], tg["t1"], tg["samples"], "t_grid")
+    s_grid = _grid(0.0, sg["length"], sg["samples"], "s_grid")
+    head = _head_path(cfg["path"])
     frames = snake.snake_evolve(head, f, t_grid, s_grid)
     L = float(s_grid[-1])
     arc_dev = max(abs(snake.frame_arclength(fr, s_grid) - L) / L for fr in frames)
@@ -493,20 +421,12 @@ def run_snake(cfg, rng):
     return summary, values, arts
 
 
-_SLEIGH_KEYS = {"v0", "omega0", "L", "t_span", "dt", "n_string", "record_every", "checks"}
-
-
 def run_sleigh(cfg, rng):
-    _reject_unknown(cfg, _SLEIGH_KEYS)
-    v0 = _real(cfg, "v0")
+    v0, omega0, L, n_string = cfg["v0"], cfg["omega0"], cfg["L"], cfg["n_string"]
     if v0 == 0:
         raise ConfigError("config key 'v0' must be nonzero: the head must move to drag the string")
-    omega0 = _real(cfg, "omega0", 0.0)
-    L = _positive(cfg, "L", 1.0)
-    n_string = _count(cfg, "n_string", 50, least=2)
     traj, frames = snake.sleigh_with_string(
-        v0, omega0, L, _t_span(cfg), _stepper(cfg),
-        n_string=n_string, record_every=_record_every(cfg),
+        v0, omega0, L, *_horizon(cfg), n_string=n_string, record_every=cfg["record_every"],
     )
     values = {"energy_rel_drift": _rel_drift(traj.ledger["energy"])}
     if omega0 != 0.0:
@@ -519,7 +439,7 @@ def run_sleigh(cfg, rng):
         values["circle_radius"] = float(r)
     summary = _traj_summary(traj)
     summary["string_points"] = n_string
-    arts = _traj_artifacts(traj, "sleigh", svg_cols=("x", "y"), title="contact point")
+    arts = _traj_artifacts(traj, "sleigh", "contact point")
     s_grid = np.linspace(0.0, L, n_string)
     arts += [(f"sleigh-frame-{i:04d}.csv", snake.frame_to_csv(fr, s_grid), "csv")
              for i, fr in enumerate(frames)]
@@ -527,74 +447,38 @@ def run_sleigh(cfg, rng):
     return summary, values, arts
 
 
-_LIE_KEYS = {"flow", "m0", "t_span", "dt", "record_every", "checks"}
-
-
-def _is_triple(value):
-    return isinstance(value, list) and len(value) == 3 and all(_is_real(v) for v in value)
-
-
-def _operator(spec, key):
-    """A 3x3 operator given by its diagonal or by its rows."""
-    value = _require(spec, key, list, where="flow.")
-    if not (_is_triple(value) or (len(value) == 3 and all(_is_triple(row) for row in value))):
-        raise ConfigError(f"config key 'flow.{key}' must be 3 finite numbers or 3 rows of 3")
-    return np.asarray(value, dtype=float)
-
-
 def run_euler_suslov(cfg, rng):
-    _reject_unknown(cfg, _LIE_KEYS)
-    flow_spec = _require(cfg, "flow", dict)
-    kind = _require(flow_spec, "kind", str, where="flow.")
-    if kind == "free":
-        _reject_unknown(flow_spec, {"kind", "B"}, where="flow")
-        flow = ("free", _operator(flow_spec, "B"))
-    elif kind == "constrained":
-        _reject_unknown(flow_spec, {"kind", "A", "constraints"}, where="flow")
-        A = _operator(flow_spec, "A")
-        cons = _require(flow_spec, "constraints", list, where="flow.")
-        if len(cons) not in (1, 2) or not all(_is_triple(a) for a in cons):
-            raise ConfigError("config key 'flow.constraints' must hold 1 or 2 vectors of 3 "
-                              "finite numbers")
-        flow = ("constrained", A, [np.asarray(a, dtype=float) for a in cons])
+    spec = cfg["flow"]
+    if spec["kind"] == "free":
+        flow = ("free", np.asarray(spec["B"]))
     else:
-        raise ConfigError(f"unknown flow kind {kind!r}")
-    m0 = np.asarray(_reals(cfg, "m0"))
-    if m0.shape != (3,):
-        raise ConfigError("config key 'm0' must have 3 components")
-    traj = liealg.integrate_lie(flow, m0, _t_span(cfg), _stepper(cfg),
-                                record_every=_record_every(cfg))
+        flow = ("constrained", np.asarray(spec["A"]), [np.asarray(a) for a in spec["constraints"]])
+    traj = liealg.integrate_lie(flow, np.asarray(cfg["m0"]), *_horizon(cfg),
+                                record_every=cfg["record_every"])
     values = {
         "energy_rel_drift": _rel_drift(traj.ledger["energy"]),
         "casimir_rel_drift": _rel_drift(traj.ledger["casimir"]),
     }
     if "constraint_max" in traj.ledger:
         values["constraint_max"] = float(np.max(np.abs(traj.ledger["constraint_max"])))
-    summary = _traj_summary(traj)
-    arts = _traj_artifacts(traj, "spin-momentum", svg_cols=("m1", "m2"), title="momentum path")
-    return summary, values, arts
+    arts = _traj_artifacts(traj, "spin-momentum", "momentum path", ("m1", "m2"))
+    return _traj_summary(traj), values, arts
 
 
-_LL_KEYS = {"n", "initial", "t_span", "dt", "record_every", "renormalize", "checks"}
+def _grid_summary(traj, **sizes):
+    return {
+        "samples": len(traj),
+        "final_time": float(traj.times[-1]),
+        **sizes,
+        "ledger": traj.ledger_extremes(),
+    }
 
 
 def run_heisenberg(cfg, rng):
-    _reject_unknown(cfg, _LL_KEYS)
-    n = _count(cfg, "n", 128, least=4)
-    init = cfg.get("initial", {"kind": "magnon", "k": 1, "eps": 0.3})
-    kind = _require(init, "kind", str, where="initial.")
-    if kind != "magnon":
-        raise ConfigError("config key 'initial.kind' must be 'magnon'")
-    _reject_unknown(init, {"kind", "k", "eps"}, where="initial")
-    k = _count(init, "k", 1, where="initial.")
-    eps = _real(init, "eps", 0.3, where="initial.")
-    L0 = loopgroup.magnon(n, k, eps)
-    renormalize = cfg.get("renormalize", False)
-    if not isinstance(renormalize, bool):
-        raise ConfigError("config key 'renormalize' must be true or false")
+    n, initial = cfg["n"], cfg["initial"]
+    L0 = loopgroup.magnon(n, initial["k"], initial["eps"])
     traj = loopgroup.integrate_ll(
-        L0, _t_span(cfg), _stepper(cfg), renormalize=renormalize,
-        record_every=_record_every(cfg),
+        L0, *_horizon(cfg), renormalize=cfg["renormalize"], record_every=cfg["record_every"],
     )
     values = {
         "energy_rel_drift": _rel_drift(traj.ledger["energy"]),
@@ -604,106 +488,47 @@ def run_heisenberg(cfg, rng):
             for c in ("mom_x", "mom_y", "mom_z")
         ),
     }
-    summary = {
-        "samples": len(traj),
-        "final_time": float(traj.times[-1]),
-        "n": n,
-        "ledger": traj.ledger_extremes(),
-    }
-    arts = [("spin-chain.csv", trajectory.to_csv(traj), "csv")]
-    return summary, values, arts
-
-
-_BINORMAL_KEYS = {"n", "radius", "t_span", "dt", "record_every", "checks"}
+    return _grid_summary(traj, n=n), values, [("spin-chain.csv", trajectory.to_csv(traj), "csv")]
 
 
 def run_binormal(cfg, rng):
-    _reject_unknown(cfg, _BINORMAL_KEYS)
-    n = _count(cfg, "n", 128, least=4)
-    r = _positive(cfg, "radius", 1.0)
-    gamma0 = loopgroup.circle_curve(n, r)
-    traj = loopgroup.integrate_binormal(gamma0, _t_span(cfg), _stepper(cfg),
-                                        record_every=_record_every(cfg))
+    n = cfg["n"]
+    gamma0 = loopgroup.circle_curve(n, cfg["radius"])
+    traj = loopgroup.integrate_binormal(gamma0, *_horizon(cfg), record_every=cfg["record_every"])
     values = {"length_rel_drift": _rel_drift(traj.ledger["length"])}
-    summary = {
-        "samples": len(traj),
-        "final_time": float(traj.times[-1]),
-        "n": n,
-        "ledger": traj.ledger_extremes(),
-    }
-    arts = [("filament.csv", trajectory.to_csv(traj), "csv")]
-    return summary, values, arts
-
-
-_CH_KEYS = {"n", "kappa", "initial", "t_span", "dt", "record_every", "checks"}
+    return _grid_summary(traj, n=n), values, [("filament.csv", trajectory.to_csv(traj), "csv")]
 
 
 def run_camassa_holm(cfg, rng):
-    _reject_unknown(cfg, _CH_KEYS)
-    n = _count(cfg, "n", 256, least=4)
-    kappa = _real(cfg, "kappa", 0.0)
-    u0 = _fourier_1d(n, cfg.get("initial", {"modes": [{"k": 1, "cos": 0.1}]}))
-    m0 = camassaholm.helmholtz_apply(u0)
-    traj = camassaholm.integrate_ch(m0, kappa, _t_span(cfg), _stepper(cfg),
-                                    record_every=_record_every(cfg))
+    n, kappa = cfg["n"], cfg["kappa"]
+    m0 = camassaholm.helmholtz_apply(_sampled(n, cfg["initial"], "k"))
+    traj = camassaholm.integrate_ch(m0, kappa, *_horizon(cfg), record_every=cfg["record_every"])
     values = {
         "mean_abs": float(np.max(np.abs(traj.ledger["mean_u"]))),
         "energy_rel_drift": _rel_drift(traj.ledger["energy"]),
     }
-    summary = {
-        "samples": len(traj),
-        "final_time": float(traj.times[-1]),
-        "n": n,
-        "kappa": kappa,
-        "ledger": traj.ledger_extremes(),
-    }
     arts = [("shallow-water.csv", trajectory.to_csv(traj), "csv")]
-    return summary, values, arts
-
-
-_FLUID_KEYS = {
-    "system", "n", "eos", "eta_H", "Gamma_H", "mu", "nu",
-    "initial", "t_span", "dt", "record_every", "checks",
-}
+    return _grid_summary(traj, n=n, kappa=kappa), values, arts
 
 
 def run_odd_fluid(cfg, rng):
-    _reject_unknown(cfg, _FLUID_KEYS)
-    system = cfg.get("system", "base")
-    if system not in ("base", "effective", "extended"):
-        raise ConfigError(f"config key 'system' must name a fluid system, got {system!r}")
-    n = _count(cfg, "n", 64, least=4)
-    eos_spec = cfg.get("eos", {"kind": "isothermal", "c": 1.0})
-    eos_kind = _require(eos_spec, "kind", str, where="eos.")
-    if eos_kind == "isothermal":
-        _reject_unknown(eos_spec, {"kind", "c"}, where="eos")
-        eos = ("isothermal", _positive(eos_spec, "c", 1.0, where="eos."))
-    elif eos_kind == "polytropic2":
-        _reject_unknown(eos_spec, {"kind", "kappa"}, where="eos")
-        eos = ("polytropic2", _positive(eos_spec, "kappa", 0.5, where="eos."))
-    else:
-        raise ConfigError(f"unknown equation of state {eos_kind!r}")
-    eta, gamma = _real(cfg, "eta_H", 0.0), _real(cfg, "Gamma_H", 0.0)
+    system, n, eos = cfg["system"], cfg["n"], cfg["eos"]
+    eta, gamma = cfg["eta_H"], cfg["Gamma_H"]
     params = oddfluid.FluidParams(
-        eos=eos,
+        eos=(eos["kind"], eos["c"] if eos["kind"] == "isothermal" else eos["kappa"]),
         eta_H=lambda rho: eta + 0.0 * rho,
         Gamma_H=lambda rho: gamma + 0.0 * rho,
-        mu=_positive(cfg, "mu", 1.0),
-        nu=_positive(cfg, "nu", 1.0),
+        mu=cfg["mu"],
+        nu=cfg["nu"],
     )
-    init = cfg.get("initial", {})
-    _reject_unknown(init, {"rho", "vx", "vy", "ell"}, where="initial")
-    rho = _fourier_2d(n, init.get("rho", {"mean": 1.0}), where="initial.rho")
-    vx = _fourier_2d(n, init.get("vx", {}), where="initial.vx")
-    vy = _fourier_2d(n, init.get("vy", {}), where="initial.vy")
-    ell = None
-    if system == "extended":
-        ell = _fourier_2d(n, init.get("ell", {}), where="initial.ell")
+    rho, vx, vy, ell = (_sampled(n, cfg["initial"][key], "kx", "ky")
+                        for key in ("rho", "vx", "vy", "ell"))
     if np.min(rho) <= oddfluid.DENSITY_FLOOR:
         raise ConfigError("config key 'initial.rho' must stay positive")
-    state0 = oddfluid.FluidState(rho=rho, v=np.stack([vx, vy]), ell=ell)
-    traj, frames = oddfluid.integrate_fluid(system, state0, params, _t_span(cfg),
-                                            _stepper(cfg), record_every=_record_every(cfg))
+    state0 = oddfluid.FluidState(rho=rho, v=np.stack([vx, vy]),
+                                 ell=ell if system == "extended" else None)
+    traj, frames = oddfluid.integrate_fluid(system, state0, params, *_horizon(cfg),
+                                            record_every=cfg["record_every"])
     values = {"energy_rel_drift": _rel_drift(traj.ledger["H"])}
     if system == "extended":
         h = traj.ledger["H_nu"]
@@ -712,13 +537,11 @@ def run_odd_fluid(cfg, rng):
         values["dl_max"] = float(np.max(traj.ledger["dl_max"]))
     summary = _traj_summary(traj)
     summary["system"] = system
-    arts = [("fluid-ledger.csv", trajectory.to_csv(traj), "csv")]
     last = frames[-1]
-    arts.append(("fluid-final-rho.csv", _field_csv(last.rho), "csv"))
-    arts.append(("fluid-final-vx.csv", _field_csv(last.v[0]), "csv"))
-    arts.append(("fluid-final-vy.csv", _field_csv(last.v[1]), "csv"))
-    if last.ell is not None:
-        arts.append(("fluid-final-ell.csv", _field_csv(last.ell), "csv"))
+    final = {"rho": last.rho, "vx": last.v[0], "vy": last.v[1], "ell": last.ell}
+    arts = [("fluid-ledger.csv", trajectory.to_csv(traj), "csv")]
+    arts += [(f"fluid-final-{key}.csv", _field_csv(field), "csv")
+             for key, field in final.items() if field is not None]
     return summary, values, arts
 
 
@@ -727,15 +550,12 @@ def _field_csv(field):
     return b"".join(trajectory._csv_lines(field))
 
 
-_BURGERS_KEYS = {"n", "potential", "t_span", "dt", "record_every", "checks"}
-
-
 def run_burgers(cfg, rng):
-    _reject_unknown(cfg, _BURGERS_KEYS)
-    n = _count(cfg, "n", 128, least=4)
-    f0 = _fourier_2d(n, _require(cfg, "potential", dict), where="potential")
+    n = cfg["n"]
+    f0 = _sampled(n, cfg["potential"], "kx", "ky")
     u0 = masstransport.gradient(f0)
-    t_span, stepper, re = _t_span(cfg), _stepper(cfg), _record_every(cfg)
+    t_span, stepper = _horizon(cfg)
+    re = cfg["record_every"]
     traj, u_frames = masstransport.integrate_burgers(u0, t_span, stepper, record_every=re)
     _, f_frames = masstransport.integrate_hj(f0, t_span, stepper, record_every=re)
     gap = max(
@@ -756,8 +576,8 @@ def run_burgers(cfg, rng):
 
 RUNNERS = {
     "skate": run_skate,
-    "trailer": run_trailer,
-    "car": run_car,
+    "trailer": partial(_run_rig, "trailer"),
+    "car": partial(_run_rig, "car"),
     "flag": run_flag,
     "snake": run_snake,
     "sleigh": run_sleigh,
@@ -790,38 +610,22 @@ _COLUMN_HELP = {
 # bundled presets
 
 
+def _figure(system, g, *checks, **extra):
+    """A skate run of the paper's figures: 8 time units at dt = 1e-4."""
+    return ("skate", {
+        "system": system, "g": g, **extra,
+        "t_span": [0.0, 8.0], "dt": 1e-4, "record_every": 100,
+        "checks": [{"name": "energy_rel_drift", "tol": 1e-8}, *checks],
+    })
+
+
 PRESETS = {
-    "fig1a": ("skate", {
-        "system": "reduced", "g": 1.0, "mu": 0.0,
-        "t_span": [0.0, 8.0], "dt": 1e-4, "record_every": 100,
-        "checks": [{"name": "energy_rel_drift", "tol": 1e-8}],
-    }),
-    "fig1b": ("skate", {
-        "system": "reduced", "g": 0.0, "mu": 0.0,
-        "t_span": [0.0, 8.0], "dt": 1e-4, "record_every": 100,
-        "checks": [{"name": "energy_rel_drift", "tol": 1e-8}],
-    }),
-    "fig2a": ("skate", {
-        "system": "lda", "g": 1.0,
-        "t_span": [0.0, 8.0], "dt": 1e-4, "record_every": 100,
-        "checks": [{"name": "energy_rel_drift", "tol": 1e-8}],
-    }),
-    "fig2b": ("skate", {
-        "system": "lda", "g": 0.0,
-        "t_span": [0.0, 8.0], "dt": 1e-4, "record_every": 100,
-        "checks": [{"name": "energy_rel_drift", "tol": 1e-8},
-                   {"name": "circle_fit_residual", "tol": 1e-6}],
-    }),
-    "fig3a": ("skate", {
-        "system": "reduced", "g": 1.0, "mu": 100.0,
-        "t_span": [0.0, 8.0], "dt": 1e-4, "record_every": 100,
-        "checks": [{"name": "energy_rel_drift", "tol": 1e-8}],
-    }),
-    "fig3b": ("skate", {
-        "system": "reduced", "g": 0.0, "mu": 100.0,
-        "t_span": [0.0, 8.0], "dt": 1e-4, "record_every": 100,
-        "checks": [{"name": "energy_rel_drift", "tol": 1e-8}],
-    }),
+    "fig1a": _figure("reduced", 1.0, mu=0.0),
+    "fig1b": _figure("reduced", 0.0, mu=0.0),
+    "fig2a": _figure("lda", 1.0),
+    "fig2b": _figure("lda", 0.0, {"name": "circle_fit_residual", "tol": 1e-6}),
+    "fig3a": _figure("reduced", 1.0, mu=100.0),
+    "fig3b": _figure("reduced", 0.0, mu=100.0),
     "trailer-goursat-n3": ("flag", {
         "kind": "trailer", "n": 3, "points": 20, "tol": 1e-8,
         "checks": [{"name": "non_goursat_points", "tol": 0.0}],
@@ -912,14 +716,14 @@ def _resolve_config(args):
         cmd, cfg = PRESETS[args.preset]
         if cmd != args.command:
             raise ConfigError(f"preset {args.preset!r} belongs to subcommand {cmd!r}")
-        return json.loads(json.dumps(cfg))
+        return cfg
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
             cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge ints, deep nesting
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
@@ -929,12 +733,10 @@ def _resolve_config(args):
 
 def _evaluate_checks(declared, values):
     results = []
-    for name, tol in declared:
-        if name not in values:
-            results.append({"name": name, "tol": tol, "value": None, "pass": False})
-            continue
-        value = values[name]
-        results.append({"name": name, "tol": tol, "value": value, "pass": abs(value) <= tol})
+    for check in declared:
+        value = values.get(check["name"])
+        results.append({**check, "value": value,
+                        "pass": value is not None and abs(value) <= check["tol"]})
     return results
 
 
@@ -963,7 +765,7 @@ def main(argv=None):
         formats = set(args.format.split(","))
         if not formats <= {"csv", "svg", "json"}:
             raise ConfigError("config key '--format' must be a subset of csv,svg,json")
-        declared = _checks(cfg)
+        cfg = SCHEMAS[args.command].read(cfg)
         rng = np.random.default_rng(args.seed)
         summary, values, arts = RUNNERS[args.command](cfg, rng)
     except ConfigError as exc:
@@ -973,7 +775,7 @@ def main(argv=None):
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    check_results = _evaluate_checks(declared, values)
+    check_results = _evaluate_checks(cfg["checks"], values)
     report = {
         "command": args.command,
         "summary": summary,
@@ -988,8 +790,8 @@ def main(argv=None):
             report["outputs"].append(str(path))
     print(json.dumps(report, indent=1))
 
-    if args.check and any(not c["pass"] for c in check_results):
-        failed = [c["name"] for c in check_results if not c["pass"]]
+    failed = [c["name"] for c in check_results if not c["pass"]]
+    if args.check and failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK
     return EXIT_OK

@@ -13,7 +13,7 @@ import numpy as np
 
 from nonholo.errors import DimensionMismatch, SteeringOutOfRange
 from nonholo.numkit import Jet, jet_variables, numerical_rank
-from nonholo.numkit.jets import derivative_along, n_monomials
+from nonholo.numkit.jets import check_table_size, derivative_along, n_monomials
 from nonholo.numkit.dual import Dual, cos, generic_jacobian, sin, tan
 from nonholo.numkit.rank import DEFAULT_RANK_TOL
 
@@ -153,6 +153,7 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
     budget = n - dims0 if max_depth is None else min(max_depth, n)
     limit = n if max_depth is None else max_depth
 
+    check_table_size(n, budget)  # before the coefficient arrays, which grow as fast
     jets = [field_jet(g, point, budget) for g in dist.generators]
     values = [jf.value for jf in jets]
     bracketed = set()

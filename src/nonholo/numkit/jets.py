@@ -74,12 +74,18 @@ def _index(exps, start, comb):
     return idx
 
 
-def _build(nvars, deg):
+def check_table_size(nvars, deg):
+    """Pairs in the product table of these jets; ``JetTableTooLarge`` above the cap."""
     pairs = math.comb(2 * nvars + deg, deg)
     if pairs > MAX_TABLE_PAIRS:
         raise JetTableTooLarge(
             f"degree-{deg} jets in {nvars} variables need a product table of "
             f"{pairs} pairs, above the cap of {MAX_TABLE_PAIRS}")
+    return pairs
+
+
+def _build(nvars, deg):
+    pairs = check_table_size(nvars, deg)
     start = np.array([0] + [n_monomials(nvars, d) for d in range(deg + 1)], dtype=np.intp)
     size = int(start[-1])
     comb = np.array([[math.comb(a, b) for b in range(nvars + 1)]

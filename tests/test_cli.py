@@ -25,6 +25,11 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def bare_id(test_id, *case):
+    """A case that once asserted a bare nested key and now its dotted path keeps its id."""
+    return pytest.param(*case, id=test_id)
+
+
 def write_config(tmp_path, cfg):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
@@ -92,6 +97,18 @@ class TestExitCodes:
         code, _, err = run_cli(["skate", "--config", str(path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("data", [
+        b'{"g": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # deeper than the parser recurses
+        b'{"g": ' + b"1" * 5000 + b"}",  # more digits than int() converts
+        b'{"g": "\xff"}',  # not UTF-8
+    ], ids=["deep", "long-int", "bad-utf8"])
+    def test_unparsable_config_files(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(["skate", "--config", str(path)])
+        assert code == EXIT_CONFIG and out == ""
+        assert "config is not valid JSON" in err and "Traceback" not in err
+
     def test_coarse_step_fails_energy_check(self, tmp_path):
         cfg = write_config(tmp_path, {
             "system": "reduced", "g": 1.0, "mu": 1.0, "t_span": [0, 8], "dt": 0.1,
@@ -156,12 +173,20 @@ class TestExitCodes:
         ("odd-fluid", {"Gamma_H": float("inf")}, "Gamma_H"),
         ("odd-fluid", {"mu": True}, "mu"),
         ("odd-fluid", {"nu": float("nan")}, "nu"),
-        ("odd-fluid", {"eos": {"kind": "isothermal", "c": True}}, "c"),
-        ("odd-fluid", {"eos": {"kind": "polytropic2", "kappa": float("-inf")}}, "kappa"),
+        bare_id("odd-fluid-cfg8-c", "odd-fluid",
+                {"eos": {"kind": "isothermal", "c": True}}, "eos.c"),
+        bare_id("odd-fluid-cfg9-kappa", "odd-fluid",
+                {"eos": {"kind": "polytropic2", "kappa": float("-inf")}}, "eos.kappa"),
         ("skate", {"system": "lda", "record_every": True}, "record_every"),
-        ("skate", {"system": "lda", "checks": [{"name": "phi_max", "tol": float("nan")}]}, "tol"),
-        ("skate", {"system": "lda", "checks": [{"name": "phi_max", "tol": True}]}, "tol"),
-        ("skate", {"system": "lda", "checks": [{"name": "phi_max", "tol": float("inf")}]}, "tol"),
+        bare_id("skate-cfg11-tol", "skate",
+                {"system": "lda", "checks": [{"name": "phi_max", "tol": float("nan")}]},
+                "checks.0.tol"),
+        bare_id("skate-cfg12-tol", "skate",
+                {"system": "lda", "checks": [{"name": "phi_max", "tol": True}]},
+                "checks.0.tol"),
+        bare_id("skate-cfg13-tol", "skate",
+                {"system": "lda", "checks": [{"name": "phi_max", "tol": float("inf")}]},
+                "checks.0.tol"),
     ])
     def test_physical_parameters_reject_bools_and_nonfinite(self, tmp_path, command, cfg, field):
         cfg = {"t_span": [0, 0.01], "dt": 1e-3, **cfg}
@@ -177,23 +202,35 @@ class TestExitCodes:
         ("sleigh", {**RUN, "v0": 1.0, "omega0": "abc"}, "omega0"),
         ("sleigh", {**RUN, "v0": True}, "v0"),
         ("sleigh", {**RUN, "v0": 0.0}, "v0"),
-        ("snake", {**SNAKE, "f": {"kind": "linear", "speed": "x"}}, "speed"),
-        ("snake", {**SNAKE, "f": {"kind": "linear", "offset": float("nan")}}, "offset"),
-        ("snake", {**SNAKE, "t_grid": {"t0": True, "t1": 5.0}}, "t0"),
-        ("snake", {**SNAKE, "t_grid": {"t1": float("inf")}}, "t1"),
+        bare_id("snake-cfg3-speed", "snake",
+                {**SNAKE, "f": {"kind": "linear", "speed": "x"}}, "f.speed"),
+        bare_id("snake-cfg4-offset", "snake",
+                {**SNAKE, "f": {"kind": "linear", "offset": float("nan")}}, "f.offset"),
+        bare_id("snake-cfg5-t0", "snake",
+                {**SNAKE, "t_grid": {"t0": True, "t1": 5.0}}, "t_grid.t0"),
+        bare_id("snake-cfg6-t1", "snake", {**SNAKE, "t_grid": {"t1": float("inf")}}, "t_grid.t1"),
         ("snake", {**SNAKE, "t_grid": {"t0": 6.0, "t1": 5.0}}, "t_grid.t1"),
-        ("snake", {**SNAKE, "t_grid": {"t1": 5.0, "samples": 2.5}}, "samples"),
-        ("snake", {**SNAKE, "s_grid": {"length": 1.0, "samples": 1}}, "samples"),
-        ("snake", {**SNAKE, "path": {"kind": "circle", "turns": "3"}}, "turns"),
-        ("snake", {**SNAKE, "path": {"kind": "circle", "samples": 3}}, "samples"),
+        bare_id("snake-cfg8-samples", "snake",
+                {**SNAKE, "t_grid": {"t1": 5.0, "samples": 2.5}}, "t_grid.samples"),
+        bare_id("snake-cfg9-samples", "snake",
+                {**SNAKE, "s_grid": {"length": 1.0, "samples": 1}}, "s_grid.samples"),
+        bare_id("snake-cfg10-turns", "snake",
+                {**SNAKE, "path": {"kind": "circle", "turns": "3"}}, "path.turns"),
+        bare_id("snake-cfg11-samples", "snake",
+                {**SNAKE, "path": {"kind": "circle", "samples": 3}}, "path.samples"),
         ("snake", {**SNAKE, "path": {"kind": "points", "points": [[0, 0], [1, 0]]}}, "path.points"),
-        ("trailer", {**RUN, "controls": {"kind": "sine", "a1": "x"}}, "a1"),
-        ("trailer", {**RUN, "controls": {"kind": "sine", "w2": float("inf")}}, "w2"),
-        ("trailer", {**RUN, "controls": {"kind": "constant", "u1": True}}, "u1"),
-        ("trailer", {**RUN, "controls": {"kind": "piecewise", "breaks": [0, "1"],
-                                         "values1": [1], "values2": [1]}}, "breaks"),
-        ("car", {**RUN, "controls": {"kind": "piecewise", "breaks": [0, 1],
-                                     "values1": [True], "values2": [1]}}, "values1"),
+        bare_id("trailer-cfg13-a1", "trailer",
+                {**RUN, "controls": {"kind": "sine", "a1": "x"}}, "controls.a1"),
+        bare_id("trailer-cfg14-w2", "trailer",
+                {**RUN, "controls": {"kind": "sine", "w2": float("inf")}}, "controls.w2"),
+        bare_id("trailer-cfg15-u1", "trailer",
+                {**RUN, "controls": {"kind": "constant", "u1": True}}, "controls.u1"),
+        bare_id("trailer-cfg16-breaks", "trailer",
+                {**RUN, "controls": {"kind": "piecewise", "breaks": [0, "1"],
+                                     "values1": [1], "values2": [1]}}, "controls.breaks"),
+        bare_id("car-cfg17-values1", "car",
+                {**RUN, "controls": {"kind": "piecewise", "breaks": [0, 1],
+                                     "values1": [True], "values2": [1]}}, "controls.values1"),
         ("car", {**RUN, "controls": {"kind": "piecewise", "breaks": [0, 1],
                                      "values1": [1, 2], "values2": [1]}}, "controls.values1"),
         ("trailer", {**RUN, "n": 1, "controls": {"kind": "constant"},
@@ -201,8 +238,10 @@ class TestExitCodes:
         ("trailer", {**RUN, "n": True, "controls": {"kind": "constant"}}, "n"),
         ("binormal", {**RUN, "n": 16, "radius": float("inf")}, "radius"),
         ("heisenberg", {**RUN, "n": 16, "renormalize": "no"}, "renormalize"),
-        ("heisenberg", {**RUN, "n": 16, "initial": {"kind": "magnon", "eps": "a"}}, "eps"),
-        ("skate", {**RUN, "system": "lda", "initial": {"theta": "a"}}, "theta"),
+        bare_id("heisenberg-cfg23-eps", "heisenberg",
+                {**RUN, "n": 16, "initial": {"kind": "magnon", "eps": "a"}}, "initial.eps"),
+        bare_id("skate-cfg24-theta", "skate",
+                {**RUN, "system": "lda", "initial": {"theta": "a"}}, "initial.theta"),
         ("euler-suslov", {**RUN, "flow": {"kind": "free", "B": [1, 2]}, "m0": [1, 2, 0]},
          "flow.B"),
         ("euler-suslov", {**RUN, "flow": {"kind": "constrained", "A": [1, 2, 3],
@@ -254,6 +293,47 @@ class TestExitCodes:
         code, _, err = run_cli(["flag", "--config", write_config(tmp_path, cfg)])
         assert code == EXIT_CONFIG
         assert f"config key {field!r}" in err and "500000" in err
+
+    GRID = {**RUN, "n": 8}
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("skate", {**RUN, "system": "lda", "initial": {"theta": 0.1, "spin": 1.0}},
+         "initial.spin"),
+        ("trailer", {**RUN, "l": "abc", "controls": {"kind": "constant"}}, "l"),
+        ("trailer", {**RUN, "l": True, "controls": {"kind": "constant"}}, "l"),
+        ("car", {**RUN, "controls": {"kind": "sine", "b1": 1.0}}, "controls.b1"),
+        ("car", {**RUN, "n": 65, "controls": {"kind": "constant"}}, "n"),
+        ("flag", {"kind": "trailer", "n": 64, "points": 1}, "n"),
+        ("flag", {"kind": "trailer", "n": 1, "points": 10**6}, "points"),
+        ("snake", {**SNAKE, "t_grid": {"t1": 5.0, "samples": 10**20}}, "t_grid.samples"),
+        ("snake", {**SNAKE, "s_grid": {"length": 1.0, "samples": 10**20}}, "s_grid.samples"),
+        ("snake", {**SNAKE, "path": {"kind": "spiral"}}, "path.kind"),
+        ("sleigh", {**RUN, "v0": 1.0, "n_string": 10**12}, "n_string"),
+        ("euler-suslov", {**RUN, "flow": {"kind": "free", "B": [1, 2, 3]}, "m0": [1, 2, 0],
+                          "checks": [{"name": "energy_rel_drift", "tol": -1}]}, "checks.0.tol"),
+        ("heisenberg", {**GRID, "initial": 5}, "initial"),
+        ("heisenberg", {**GRID, "n": 12}, "n"),
+        ("binormal", {**RUN, "n": 12}, "n"),
+        ("binormal", {**RUN, "n": 2**20}, "n"),
+        ("camassa-holm", {**GRID, "initial": 5}, "initial"),
+        ("camassa-holm", {**GRID, "initial": {"modes": 5}}, "initial.modes"),
+        ("camassa-holm", {**GRID, "initial": {"modes": [5]}}, "initial.modes.0"),
+        ("camassa-holm", {**GRID, "initial": {"modes": [{"k": True, "cos": 0.1}]}},
+         "initial.modes.0.k"),
+        ("camassa-holm", {**GRID, "n": 12}, "n"),
+        ("odd-fluid", {**GRID, "eos": 5}, "eos"),
+        ("odd-fluid", {**GRID, "initial": 5}, "initial"),
+        ("odd-fluid", {**GRID, "initial": {"rho": 5}}, "initial.rho"),
+        ("odd-fluid", {**GRID, "initial": {"rho": {"mean": 1.0, "modes": [{"kx": 1}]}}},
+         "initial.rho.modes.0.ky"),
+        ("odd-fluid", {**GRID, "n": 12}, "n"),
+        ("burgers", {**RUN, "n": 12, "potential": {}}, "n"),
+        ("burgers", {**RUN, "n": 8}, "potential"),
+    ])
+    def test_schema_names_the_dotted_key(self, tmp_path, command, cfg, field):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG and out == ""
+        assert f"config key {field!r}" in err and "Traceback" not in err
 
 
 class TestArtifacts:

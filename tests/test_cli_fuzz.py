@@ -1,15 +1,19 @@
 """Property test: no config value makes the CLI raise or print a traceback.
 
-Each example starts from a short, valid ``skate``, ``snake`` or ``flag``
-config and replaces a few of its values (nested ones too) with finite
-extremes, zeros, negatives, NaN/±Infinity, booleans, strings and other JSON
-values.  Whatever the values, ``main`` must return one of the documented
-exit codes: 0 success, 1 config error, 2 numerical failure, 3 check failed.
+The base configs and the key paths come from walking each subcommand's table
+in ``cli.SCHEMAS``: one short, valid base per subcommand, plus one per option
+of every string choice and ``kind`` variant.  Each example takes a base and
+replaces a few of its values (nested ones too) with finite extremes, zeros,
+negatives, NaN/±Infinity, booleans, strings and other JSON values.  Whatever
+the values, ``main`` must return one of the documented exit codes: 0 success,
+1 config error, 2 numerical failure, 3 check failed.
 
-Horizons stay short.  A tiny positive ``dt`` or a span of 1e300 asks for a
-valid run of ~1e300 steps, which no test can wait for, so ``t_span`` and
-``dt`` draw only from values that are rejected or leave the step count
-small; sample and point counts draw from small integers for the same reason.
+Runs stay short.  Every count in a base is clamped to 3 (spectral grids take
+their least size, 4) and every horizon is [0, 0.01].  A tiny positive ``dt``
+or a span of 1e300 asks for a valid run of ~1e300 steps, which no test can
+wait for, so ``t_span`` and ``dt`` draw only from values that are rejected or
+leave the step count small; counts draw from small integers for the same
+reason.
 """
 
 import contextlib
@@ -22,8 +26,10 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import numpy as np
 
-from nonholo.cli import main
+from nonholo.cli import SCHEMAS, main
+from nonholo.schema import Bool, Choice, Int, ListOf, Obj, Reals, Variant
 
 MAX = sys.float_info.max
 TINY = sys.float_info.min  # smallest normal float
@@ -33,7 +39,8 @@ EXTREMES = [
     TINY, -TINY, SUB, -SUB, float("nan"), float("inf"), float("-inf"),
 ]
 WORDS = ["", "x", "1", "NaN", "reduced", "lda", "regularized", "trailer", "car",
-         "cartan", "goursat", "circle", "line", "points", "linear"]
+         "cartan", "goursat", "circle", "line", "points", "linear", "magnon", "free",
+         "constrained", "sine", "piecewise", "isothermal", "polytropic2", "extended"]
 
 values = st.one_of(
     st.sampled_from(EXTREMES),
@@ -41,66 +48,102 @@ values = st.one_of(
     st.integers(-3, 5),
     st.booleans(),
     st.sampled_from(WORDS),
-    st.sampled_from([None, [], [1.0], [0, 1], {}]),
+    st.sampled_from([None, [], [1.0], [0, 1], {}, 5, [5], {"kind": 5}]),
 )
 horizon_values = st.sampled_from([
     float("nan"), float("inf"), float("-inf"), MAX, -MAX, 0, 0.0, -0.0, -1, -1e-3,
     SUB, 1, True, False, "0.01", None, [], [0.0], [0.0, 0.0], [0.01, 0.0],
 ])
-
-CHECKS = [{"name": "energy_rel_drift", "tol": 1e-6}]
-SKATE = {
-    "system": "reduced", "g": 1.0, "mu": 0.5, "nu": 0.1, "alpha": 0.1,
-    "initial": {"x": 0.0, "y": 0.0, "theta": 0.7, "v": 1.0, "omega": -2.0, "lam": 0.0},
-    "t_span": [0.0, 0.01], "dt": 1e-3, "record_every": 2, "checks": CHECKS,
-}
-SNAKE = {
-    "path": {"kind": "circle", "radius": 1.0, "turns": 1.0, "samples": 8},
-    "f": {"kind": "linear", "speed": 1.0, "offset": 1.5},
-    "t_grid": {"t0": 0.0, "t1": 1.0, "samples": 3},
-    "s_grid": {"length": 1.0, "samples": 3},
-    "checks": [{"name": "collinearity", "tol": 1e-3}],
-}
-FLAG = {
-    "kind": "trailer", "n": 1, "s": 1, "l": 1.0, "points": 2, "tol": 1e-8,
-    "checks": [{"name": "non_goursat_points", "tol": 0}],
-}
-
-BASES = {
-    "skate": [
-        SKATE,
-        {**SKATE, "system": "lda"},
-        {**SKATE, "system": "regularized", "initial": {"theta": 0.7, "omega": -2.0}},
-    ],
-    "snake": [
-        SNAKE,
-        {**SNAKE, "path": {"kind": "line", "length": 4.0, "samples": 6}},
-        {**SNAKE, "path": {"kind": "points", "points": [[0, 0], [1, 0], [2, 1], [3, 3]]}},
-    ],
-    "flag": [FLAG, *({**FLAG, "kind": kind} for kind in
-                     ("unicycle", "car", "car-trailer", "goursat", "cartan"))],
-}
-KEYS = {
-    "skate": [
-        ("system",), ("g",), ("mu",), ("nu",), ("alpha",), ("initial",),
-        *(("initial", k) for k in ("x", "y", "theta", "v", "omega", "lam")),
-        ("record_every",), ("checks",), ("checks", 0), ("checks", 0, "tol"),
-    ],
-    "snake": [
-        ("path",), ("path", "kind"), ("path", "radius"), ("path", "turns"),
-        ("path", "samples"), ("path", "length"), ("path", "points"),
-        ("path", "points", 0), ("path", "points", 1, 0), ("f",), ("f", "speed"),
-        ("f", "offset"), ("t_grid", "t0"), ("t_grid", "t1"), ("t_grid", "samples"),
-        ("s_grid",), ("s_grid", "length"), ("s_grid", "samples"),
-    ],
-    "flag": [("kind",), ("n",), ("s",), ("l",), ("points",), ("tol",), ("checks", 0, "tol")],
-}
 HORIZON_KEYS = [("t_span",), ("t_span", 0), ("t_span", 1), ("dt",)]
 
+# values the tables cannot supply: a short horizon, the optional regularized
+# skate parameters, piecewise controls with one value per interval, a snake
+# head path that its few samples resolve and that starts a string length in,
+# and a check that exists
+GIVEN = {
+    ("t_span",): [0.0, 0.01],
+    ("path", "turns"): 1.0,
+    ("f", "offset"): 1.5,
+    ("nu",): 0.1,
+    ("alpha",): 0.1,
+    ("controls", "breaks"): [0.0, 0.5],
+    ("controls", "values1"): [1.0],
+    ("controls", "values2"): [-1.0],
+    ("checks", 0, "name"): "energy_rel_drift",
+}
 
-def _cases(command, horizon=False):
+
+def _fields(field):
+    """The keys of an object, or of all variants of a ``kind``-tagged one."""
+    if isinstance(field, Obj):
+        return field.fields
+    return {key: sub for fields in field.variants.values() for key, sub in fields.items()}
+
+
+def _walk(field, path=()):
+    """Yield (key path, its string options or None) for every key below ``field``."""
+    if isinstance(field, (Obj, Variant)):
+        for key, sub in _fields(field).items():
+            options = getattr(sub, "options", None) or None
+            yield path + (key,), options
+            yield from _walk(sub, path + (key,))
+    elif isinstance(field, (ListOf, Reals)):
+        yield path + (0,), None
+        if isinstance(field, ListOf):
+            yield from _walk(field.item, path + (0,))
+        elif any(len(shape) > 1 for shape in field.shapes):
+            yield path + (0, 0), None
+
+
+def _base(field, picks, path=()):
+    """A short valid value for ``field``; ``picks`` maps key paths to options."""
+    if path in GIVEN:
+        return GIVEN[path]
+    if isinstance(field, (Obj, Variant)):
+        given = field.default if isinstance(field.default, dict) else {}
+        if isinstance(field, Variant):
+            kind = picks.get(path + ("kind",), given.get("kind", next(iter(field.variants))))
+            given, fields = {**given, "kind": kind}, field.variants[kind]
+        else:
+            fields = field.fields
+        return {key: given[key] if key in given else _base(sub, picks, path + (key,))
+                for key, sub in fields.items()
+                if key in given or sub.default is not None or path + (key,) in GIVEN}
+    if isinstance(field, ListOf):
+        return [_base(field.item, picks, path + (0,))]
+    if isinstance(field, Reals):
+        shape = [size or 4 for size in field.shapes[0]]
+        return (0.5 * np.arange(1, np.prod(shape) + 1)).reshape(shape).tolist()
+    if isinstance(field, Int):
+        return min(max(3, field.least), field.most)
+    if isinstance(field, Choice):
+        return picks.get(path, field.default if isinstance(field.default, str)
+                         else (field.options or ("x",))[0])
+    if isinstance(field, Bool):
+        return False
+    return field.default if isinstance(field.default, float) else 1.0
+
+
+def _bases(schema):
+    """The default base, then one base per other option of each choice."""
+    bases = [_base(schema, {})]
+    for path, options in _walk(schema):
+        for option in options or ():
+            cfg = _base(schema, {path: option})
+            if cfg not in bases:
+                bases.append(cfg)
+    return bases
+
+
+BASES = {command: _bases(schema) for command, schema in SCHEMAS.items()}
+KEYS = {command: list(dict.fromkeys(path for path, _ in _walk(schema)
+                                    if path[0] not in ("t_span", "dt")))
+        for command, schema in SCHEMAS.items()}
+
+
+def _cases(command):
     overrides = st.lists(st.tuples(st.sampled_from(KEYS[command]), values), max_size=3)
-    if horizon:
+    if "t_span" in SCHEMAS[command].fields:
         overrides = st.tuples(overrides, st.lists(
             st.tuples(st.sampled_from(HORIZON_KEYS), horizon_values), max_size=2,
         )).map(lambda pair: pair[0] + pair[1])
@@ -119,20 +162,19 @@ def _apply(cfg, overrides):
                 break
         else:
             try:
-                parent[path[-1]] = value
+                parent[path[-1]] = copy.deepcopy(value)  # sampled lists and dicts are shared
             except (IndexError, TypeError):
                 pass
     return cfg
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=st.one_of(_cases("skate", horizon=True), _cases("snake"), _cases("flag")))
-@example(case=("skate", 0, [(("system",), "regularized"), (("nu",), 1e-17), (("alpha",), 0.01)]))
-@example(case=("snake", 2, [(("path", "points"), [[0, 0], [0, 0], [0, 0], [0, 0]])]))
-@example(case=("snake", 0, [(("path", "radius"), 1e-300)]))
-def test_cli_exits_with_a_documented_code(case):
-    command, base, overrides = case
-    cfg = _apply(BASES[command][base], overrides)
+def test_every_subcommand_has_a_valid_base():
+    for command, bases in BASES.items():
+        for cfg in bases:
+            assert _run(command, cfg) in (0, 3), (command, cfg)
+
+
+def _run(command, cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
         path.write_text(json.dumps(cfg))
@@ -142,5 +184,31 @@ def test_cli_exits_with_a_documented_code(case):
                 code = main([command, "--config", str(path), "--check"])
             except Exception as exc:
                 raise AssertionError(f"main raised {exc!r} on {cfg!r}") from exc
-    assert code in (0, 1, 2, 3), (code, cfg)
     assert "Traceback" not in err.getvalue(), cfg
+    return code
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.one_of(*(_cases(command) for command in SCHEMAS)))
+@example(case=("skate", 2, [(("system",), "regularized"), (("nu",), 1e-17), (("alpha",), 0.01)]))
+@example(case=("snake", 2, [(("path", "points"), [[0, 0], [0, 0], [0, 0], [0, 0]])]))
+@example(case=("snake", 0, [(("path", "radius"), 1e-300)]))
+@example(case=("snake", 0, [(("t_grid", "samples"), 10**20)]))
+@example(case=("snake", 0, [(("s_grid", "samples"), 10**20)]))
+@example(case=("sleigh", 0, [(("n_string",), 10**12)]))
+@example(case=("camassa-holm", 0, [(("initial",), 5)]))
+@example(case=("camassa-holm", 0, [(("initial", "modes"), 5)]))
+@example(case=("camassa-holm", 0, [(("initial", "modes"), [5])]))
+@example(case=("odd-fluid", 0, [(("eos",), 5)]))
+@example(case=("odd-fluid", 0, [(("initial",), 5)]))
+@example(case=("odd-fluid", 0, [(("initial", "rho"), 5)]))
+@example(case=("heisenberg", 0, [(("initial",), 5)]))
+@example(case=("heisenberg", 0, [(("n",), 12)]))
+@example(case=("binormal", 0, [(("n",), 12)]))
+@example(case=("camassa-holm", 0, [(("n",), 12)]))
+@example(case=("odd-fluid", 0, [(("n",), 12)]))
+@example(case=("burgers", 0, [(("n",), 12)]))
+def test_cli_exits_with_a_documented_code(case):
+    command, base, overrides = case
+    cfg = _apply(BASES[command][base], overrides)
+    assert _run(command, cfg) in (0, 1, 2, 3), cfg

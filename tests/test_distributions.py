@@ -222,6 +222,13 @@ def test_oversized_jet_table_is_refused_before_it_is_built(monkeypatch):
     assert jets._TABLES == {}
 
 
+def test_oversized_jets_are_refused_before_their_coefficients_exist():
+    # 40 trailers: one degree-41 jet in 43 variables would hold C(84, 41) > 2^63 coefficients
+    q = rand_points(np.random.default_rng(9), 43, 1)[0]
+    with pytest.raises(JetTableTooLarge):
+        derived_flag(trailer_fields(40), q)
+
+
 def test_car_flag():
     rep = derived_flag(car_fields(1.0), [0.1, 0.2, -0.3, 0.15])
     assert rep.dims == [2, 3, 4]

@@ -1,10 +1,12 @@
 """Vector-field calculus on charts: brackets, derived flags, named systems.
 
-Fields evaluate on plain floats, on dual numbers (exact Jacobians for single
-brackets), and on jets (truncated Taylor expansions, used by the derived-flag
-computation where brackets nest deeply).  All the named distributions here
-are rank 2: unicycle-with-trailers, car (steer/drive), the bracket normal
-form with unit growth, and the jet-space tangency distribution.
+Fields evaluate on plain floats and on jets (truncated Taylor expansions).
+Jets are the one differentiation mechanism: a Lie bracket's expansion is the
+bracket of its factors' expansions one degree higher, so brackets nest to any
+depth exactly, and the derived-flag computation brackets the generators'
+jets directly.  All the named distributions here are rank 2:
+unicycle-with-trailers, car (steer/drive), the bracket normal form with unit
+growth, and the jet-space tangency distribution.
 """
 
 from dataclasses import dataclass, field
@@ -13,27 +15,18 @@ import numpy as np
 
 from nonholo.errors import DimensionMismatch, SteeringOutOfRange
 from nonholo.numkit import Jet, jet_variables, numerical_rank
-from nonholo.numkit.jets import check_table_size, derivative_along, n_monomials
-from nonholo.numkit.dual import Dual, cos, generic_jacobian, sin, tan
+from nonholo.numkit.jets import check_table_size, cos, derivative_along, n_monomials, sin, tan
 from nonholo.numkit.rank import DEFAULT_RANK_TOL
 
 
 def scalar_value(x):
-    """Float value of a scalar that may be a Dual or a Jet."""
-    if type(x) is float:
-        return x
-    while True:
-        if isinstance(x, Dual):
-            x = x.val
-        elif isinstance(x, Jet):
-            x = x.value
-        else:
-            return float(x)
+    """Float value of a number, or of a Jet at its expansion point."""
+    return x.value if type(x) is Jet else float(x)
 
 
 @dataclass
 class VectorField:
-    """Smooth map on a chart, evaluable on floats, duals, and jets."""
+    """Smooth map on a chart, evaluable on floats and jets."""
 
     dim: int
     func: callable
@@ -51,6 +44,10 @@ class VectorField:
     def at(self, point):
         """Plain float evaluation as a numpy vector."""
         return np.array(self.values(point), dtype=float)
+
+    def jet(self, point, deg):
+        """Taylor expansion at ``point`` through total degree ``deg``, as one vector jet."""
+        return field_jet(self, point, deg)
 
 
 @dataclass
@@ -89,22 +86,28 @@ class FlagReport:
         }
 
 
+class _Bracket(VectorField):
+    """[V, W], evaluable at float points.
+
+    Its expansion through degree d brackets the factors' expansions through
+    d + 1, so a bracket nested k deep expands the original fields to degree k.
+    """
+
+    def __init__(self, V, W):
+        super().__init__(V.dim, lambda p: self.jet(p, 0).value.tolist(),
+                         f"[{V.label or 'V'},{W.label or 'W'}]")
+        self.factors = (V, W)
+
+    def jet(self, point, deg):
+        V, W = self.factors
+        return jet_bracket(V.jet(point, deg + 1), W.jet(point, deg + 1))
+
+
 def lie_bracket(V, W):
-    """[V, W] with eval (DW)V - (DV)W; Jacobians are exact (dual numbers)."""
+    """[V, W] = (DW)V - (DV)W, exact: polynomial algebra on the fields' jets."""
     if V.dim != W.dim:
         raise DimensionMismatch("bracket of fields on different charts")
-    n = V.dim
-
-    def ev(p):
-        vp = V(list(p))
-        wp = W(list(p))
-        dv = generic_jacobian(lambda q: V(q), list(p))
-        dw = generic_jacobian(lambda q: W(q), list(p))
-        return [
-            sum(dw[i][j] * vp[j] - dv[i][j] * wp[j] for j in range(n)) for i in range(n)
-        ]
-
-    return VectorField(n, ev, f"[{V.label or 'V'},{W.label or 'W'}]")
+    return _Bracket(V, W)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,7 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
     limit = n if max_depth is None else max_depth
 
     check_table_size(n, budget)  # before the coefficient arrays, which grow as fast
-    jets = [field_jet(g, point, budget) for g in dist.generators]
+    jets = [g.jet(point, budget) for g in dist.generators]
     values = [jf.value for jf in jets]
     bracketed = set()
     dims = [dims0]

@@ -11,7 +11,11 @@ constant term, then x_1 .. x_n, then the quadratic monomials, and so on
 (descending lexicographic order within each degree).  The order does not
 depend on the budget, so truncating a jet to a lower degree takes a prefix.
 Leading array axes are components: a vector field's expansion is one jet
-whose coefficients have shape (n, N).
+whose coefficients have shape (n, N), and a coefficient function evaluated
+over a grid is one jet whose coefficients have the grid as leading axes.  A
+plain operand of ``+ - * /`` is a number or an array of those leading axes.
+A degree-d jet carries every derivative through order d, so it serves both
+nested Lie brackets and single exact derivatives.
 
 Products and derivatives run on index tables built once per number of
 variables, lazily and vectorised (Griewank & Walther, *Evaluating
@@ -149,8 +153,10 @@ class Jet:
 
     @classmethod
     def constant(cls, c, nvars, deg):
-        coef = np.zeros(n_monomials(nvars, deg))
-        coef[0] = c
+        """Constant jet; an array ``c`` gives one constant per leading index."""
+        c = np.asarray(c, dtype=float)
+        coef = np.zeros(c.shape + (n_monomials(nvars, deg),))
+        coef[..., 0] = c
         return cls(nvars, deg, coef)
 
     @property
@@ -161,7 +167,7 @@ class Jet:
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            coef = self.coef.copy()
+            coef = self.coef.copy(order="K")  # keeps a grid jet's coefficient planes contiguous
             coef[..., 0] += other
             return Jet(self.nvars, self.deg, coef)
         if other.nvars != self.nvars:
@@ -183,7 +189,7 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.nvars, self.deg, self.coef * other)
+            return Jet(self.nvars, self.deg, self.coef * np.asarray(other)[..., None])
         if other.nvars != self.nvars:
             raise ValueError("jets on different variable sets")
         deg = min(self.deg, other.deg)
@@ -246,27 +252,23 @@ class Jet:
     def tan(self):
         return self.sin() * self.cos().reciprocal()
 
-    def exp(self):
-        e = math.exp(self.value)
-        return self._compose_series([e] * (self.deg + 1))
-
-    def log(self):
-        c = self.value
-        derivs = [math.log(c)]
-        derivs += [((-1.0) ** (k - 1)) * math.factorial(k - 1) / c**k for k in range(1, self.deg + 1)]
-        return self._compose_series(derivs)
-
-    def sqrt(self):
-        c = self.value
-        derivs = [math.sqrt(c)]
-        coeff = 0.5
-        for k in range(1, self.deg + 1):
-            derivs.append(coeff * c ** (0.5 - k))
-            coeff *= 0.5 - k
-        return self._compose_series(derivs)
-
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, deg={self.deg}, {self.coef!r})"
+
+
+def sin(x):
+    """sin of a number, or the sine series of a Jet."""
+    return x.sin() if type(x) is Jet else math.sin(x)
+
+
+def cos(x):
+    """cos of a number, or the cosine series of a Jet."""
+    return x.cos() if type(x) is Jet else math.cos(x)
+
+
+def tan(x):
+    """tan of a number, or the tangent series of a Jet."""
+    return x.tan() if type(x) is Jet else math.tan(x)
 
 
 def jet_variables(point, deg):

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nonholo.errors import NegativeDensity, NonFinite
-from nonholo.numkit import dealias_2d, integrate, spectral_partial_2d
-from nonholo.numkit.dual import Dual, _TAGS
+from nonholo.numkit import Jet, dealias_2d, integrate, spectral_partial_2d
 from nonholo.numkit.spectral import _check_pow2, jacobian_2d
 from nonholo.trajectory import Trajectory
 
@@ -27,15 +26,19 @@ DENSITY_FLOOR = 1e-6
 def coefficient_and_derivative(f, rho):
     """Evaluate a smooth coefficient function and its exact rho-derivative.
 
-    Uses a forward-difference-free dual pass, so ``f`` must be built from
-    arithmetic operations that accept numpy arrays (polynomials in rho).
+    ``f`` is called once, on a degree-1 jet in rho whose coefficient array
+    has the grid as leading axes, so it must be built from ``+ - * /`` and
+    integer ``**`` (a polynomial or rational function of rho).  A result that
+    is not a jet is a constant.
     """
-    tag = next(_TAGS)
-    out = f(Dual(np.asarray(rho, dtype=float), np.ones_like(rho), tag))
-    if isinstance(out, Dual) and out.tag == tag:
-        return np.broadcast_to(out.val, rho.shape).astype(float), np.broadcast_to(
-            out.dot, rho.shape
-        ).astype(float)
+    rho = np.asarray(rho, dtype=float)
+    # coefficient k is coef[..., k], stored as contiguous planes: elementwise
+    # jet operations keep that layout, so no step strides through the grid
+    coef = np.moveaxis(np.stack([rho, np.ones_like(rho)]), 0, -1)
+    out = f(Jet(1, 1, coef))
+    if isinstance(out, Jet):
+        return (np.broadcast_to(out.coef[..., 0], rho.shape).astype(float),
+                np.broadcast_to(out.coef[..., 1], rho.shape).astype(float))
     return np.broadcast_to(np.asarray(out, dtype=float), rho.shape), np.zeros_like(rho)
 
 

@@ -4,7 +4,8 @@ A schema is a tree of fields.  ``Obj({key: field, ...}).read(cfg)`` checks a
 parsed JSON config against it, fills the defaults and returns plain Python
 values (floats, ints, bools, strings, lists, dicts).  A malformed value
 raises :class:`ConfigError` whose message starts ``config key '<path>'`` with
-the full dotted path, list indices included (``'initial.rho.modes.0.k'``).
+the full dotted path, list indices included (``'initial.rho.modes.0.k'``);
+a key or value longer than ``SHOWN_CHARS`` characters is shown cut.
 
 A field's ``default`` is ``REQUIRED`` (the key must be given), ``None`` (the
 key is optional and reads as ``None`` when absent) or a raw JSON value that is
@@ -14,14 +15,23 @@ read exactly like a given one, so nested defaults fill in too.
 import math
 
 REQUIRED = object()
+SHOWN_CHARS = 80  # longest rendering of a key or value in an error message
 
 
 class ConfigError(ValueError):
     """The run configuration is malformed; the message names the field."""
 
 
+def _show(value):
+    """``repr(value)``, cut to ``SHOWN_CHARS`` characters: a huge value keeps its message short."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 def _fail(path, message):
-    raise ConfigError(f"config key {path!r} {message}")
+    raise ConfigError(f"config key {_show(path)} {message}")
 
 
 def _join(path, key):
@@ -54,11 +64,11 @@ class Real(Field):
 
     def read(self, value, path):
         if not _is_real(value):
-            _fail(path, f"must be a finite number, got {value!r}")
+            _fail(path, f"must be a finite number, got {_show(value)}")
         if self.positive and not value > 0:
-            _fail(path, f"must be positive, got {value!r}")
+            _fail(path, f"must be positive, got {_show(value)}")
         if self.low is not None and value < self.low:
-            _fail(path, f"must be >= {self.low}, got {value!r}")
+            _fail(path, f"must be >= {self.low}, got {_show(value)}")
         return float(value)
 
 
@@ -73,7 +83,7 @@ class Int(Field):
         if isinstance(value, bool) or not isinstance(value, int) or not (
             self.least <= value <= self.most
         ):
-            _fail(path, f"must be an integer in [{self.least}, {self.most}], got {value!r}")
+            _fail(path, f"must be an integer in [{self.least}, {self.most}], got {_show(value)}")
         if self.pow2 and value & (value - 1):
             _fail(path, f"must be a power of two, got {value}")
         return value
@@ -82,7 +92,7 @@ class Int(Field):
 class Bool(Field):
     def read(self, value, path):
         if not isinstance(value, bool):
-            _fail(path, f"must be true or false, got {value!r}")
+            _fail(path, f"must be true or false, got {_show(value)}")
         return value
 
 
@@ -95,9 +105,9 @@ class Choice(Field):
 
     def read(self, value, path):
         if not isinstance(value, str):
-            _fail(path, f"must be a string, got {value!r}")
+            _fail(path, f"must be a string, got {_show(value)}")
         if self.options and value not in self.options:
-            _fail(path, f"must be one of {', '.join(map(repr, self.options))}, got {value!r}")
+            _fail(path, f"must be one of {', '.join(map(repr, self.options))}, got {_show(value)}")
         return value
 
 

@@ -194,6 +194,24 @@ class TestExitCodes:
         assert code == EXIT_CONFIG and out == ""
         assert "config key" in err and repr(field) in err
 
+    @staticmethod
+    def nested_list(depth):
+        out = []
+        for _ in range(depth - 1):
+            out = [out]
+        return out
+
+    @pytest.mark.parametrize("cfg", [
+        {"system": "x" * 200_000},
+        {"system": "lda", "g": nested_list(900)},
+        {"system": "lda", "k" * 200_000: 1},
+    ], ids=["long-string", "deep-list", "long-key"])
+    def test_huge_values_give_short_config_errors(self, tmp_path, cfg):
+        cfg = {"t_span": [0, 0.01], "dt": 1e-3, **cfg}
+        code, out, err = run_cli(["skate", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("config error: config key '") and len(err.encode()) < 300
+
     SNAKE = {"path": {"kind": "line", "samples": 8}, "t_grid": {"t0": 2.0, "t1": 5.0},
              "s_grid": {"length": 1.0}}
     RUN = {"t_span": [0, 0.01], "dt": 1e-3}

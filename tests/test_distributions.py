@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonholo import distributions
 from nonholo.distributions import (
@@ -90,16 +92,43 @@ def test_unicycle_bracket_is_normal_direction():
         assert np.allclose(got, [-np.sin(th), np.cos(th), 0.0], atol=1e-12)
 
 
-def test_jet_bracket_matches_dual_bracket_value():
+def fd_bracket(V, W, q, h=1e-5):
+    """(DW)V - (DV)W at q from central-difference Jacobians."""
+    def jac(F):
+        cols = []
+        for j in range(len(q)):
+            e = np.zeros(len(q))
+            e[j] = h
+            cols.append((F.at(q + e) - F.at(q - e)) / (2 * h))
+        return np.column_stack(cols)
+
+    return jac(W) @ V.at(q) - jac(V) @ W.at(q)
+
+
+def test_lie_bracket_matches_finite_difference_bracket():
     rng = np.random.default_rng(7)
-    dist = trailer_fields(2)
-    V, W = dist.generators
+    V, W = trailer_fields(2).generators
     br = lie_bracket(V, W)
     for q in rand_points(rng, 5, 5):
-        vj = field_jet(V, q, 2)
-        wj = field_jet(W, q, 2)
-        jb = jet_bracket(vj, wj)
-        assert np.allclose(jb.value, br.at(q), atol=1e-12)
+        assert np.allclose(br.at(q), fd_bracket(V, W, q), rtol=0.0, atol=1e-9)
+        # the bracket of the degree-2 field jets carries the same value
+        assert np.allclose(jet_bracket(field_jet(V, q, 2), field_jet(W, q, 2)).value,
+                           br.at(q), rtol=0.0, atol=1e-12)
+
+
+@given(st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4), st.floats(-0.78, 0.78))
+@settings(max_examples=30, deadline=None)
+def test_jacobi_identity_on_nested_brackets(coords, phi):
+    # steer, drive and park = [drive, [steer, drive]] of the car towing one
+    # trailer: all three terms of the cyclic sum are nonzero (with tau_1, tau_2
+    # and [tau_1, tau_2] of a trailer system every term vanishes, because
+    # [tau_1, [tau_1, tau_2]] = -tau_2), and they nest brackets four deep
+    q = coords + [phi]  # (x, y, theta_0, theta_1, phi), phi inside the steering chart
+    U, V = car_trailer_fields(1).generators
+    W = lie_bracket(V, lie_bracket(U, V))
+    cyclic = (lie_bracket(U, lie_bracket(V, W)).at(q) + lie_bracket(V, lie_bracket(W, U)).at(q)
+              + lie_bracket(W, lie_bracket(U, V)).at(q))
+    assert np.abs(cyclic).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

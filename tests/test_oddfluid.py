@@ -56,8 +56,12 @@ def test_coefficient_derivative_exact():
     val, der = coefficient_and_derivative(lambda x: 0.3 * x * x + 2.0, r)
     assert np.allclose(val, 0.3 * r * r + 2.0)
     assert np.allclose(der, 0.6 * r)
-    val, der = coefficient_and_derivative(lambda x: 1.5 + 0.0 * x, r)
-    assert np.allclose(der, 0.0)
+    val, der = coefficient_and_derivative(lambda x: 1.0 / (1.0 + x), r)
+    assert np.allclose(val, 1.0 / (1.0 + r))
+    assert np.allclose(der, -1.0 / (1.0 + r) ** 2)
+    for const in (lambda x: 1.5 + 0.0 * x, lambda x: 1.5):  # a jet, then a plain float
+        val, der = coefficient_and_derivative(const, r)
+        assert np.array_equal(val, np.full_like(r, 1.5)) and np.array_equal(der, np.zeros_like(r))
 
 
 def test_equations_of_state_pressure():

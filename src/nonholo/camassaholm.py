@@ -105,5 +105,4 @@ def integrate_ch(m0, kappa, t_span, stepper, record_every=1):
         columns=cols,
         states=states,
         ledger=ledger,
-        meta={"system": "shallow-water-momentum", "kappa": kappa, "n": len(m0)},
     )

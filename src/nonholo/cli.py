@@ -540,14 +540,9 @@ def run_odd_fluid(cfg, rng):
     last = frames[-1]
     final = {"rho": last.rho, "vx": last.v[0], "vy": last.v[1], "ell": last.ell}
     arts = [("fluid-ledger.csv", trajectory.to_csv(traj), "csv")]
-    arts += [(f"fluid-final-{key}.csv", _field_csv(field), "csv")
+    arts += [(f"fluid-final-{key}.csv", trajectory.csv_bytes([], field), "csv")
              for key, field in final.items() if field is not None]
     return summary, values, arts
-
-
-def _field_csv(field):
-    """Flat row-major CSV of a 2-D grid, one grid row per line."""
-    return b"".join(trajectory._csv_lines(field))
 
 
 def run_burgers(cfg, rng):
@@ -569,8 +564,8 @@ def run_burgers(cfg, rng):
     }
     summary = _traj_summary(traj)
     arts = [("advection-ledger.csv", trajectory.to_csv(traj), "csv"),
-            ("advection-final-ux.csv", _field_csv(u_frames[-1][0]), "csv"),
-            ("advection-final-uy.csv", _field_csv(u_frames[-1][1]), "csv")]
+            ("advection-final-ux.csv", trajectory.csv_bytes([], u_frames[-1][0]), "csv"),
+            ("advection-final-uy.csv", trajectory.csv_bytes([], u_frames[-1][1]), "csv")]
     return summary, values, arts
 
 

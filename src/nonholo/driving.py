@@ -108,15 +108,11 @@ def simulate_rig(kind, n, controls, q0, t_span, stepper, l=1.0, record_every=1):
     resid = np.empty(len(times))
     for k, (t, q) in enumerate(zip(times, states)):
         resid[k] = np.max(np.abs(axle_residuals(kind, n, q, rhs(t, q), l)))
-    meta = {"system": kind, "trailers": n}
-    if kind == "car":
-        meta["axle_span"] = l
     return Trajectory(
         times=times,
         columns=rig_columns(kind, n),
         states=states,
         ledger={"residual_max": resid},
-        meta=meta,
     )
 
 
@@ -129,15 +125,8 @@ def _flow(field, p, duration, n_steps):
     p = np.asarray(p, dtype=float)
     if duration == 0.0:
         return p
-    dt = duration / n_steps
-    f = field.at
-    for _ in range(n_steps):
-        k1 = f(p)
-        k2 = f(p + 0.5 * dt * k1)
-        k3 = f(p + 0.5 * dt * k2)
-        k4 = f(p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return p
+    rhs = lambda t, q: field.values(q)
+    return integrate(rhs, p, (0.0, duration), Stepper.rk4(duration / n_steps))[1][-1]
 
 
 def flow_schedule(schedule, p0, n_steps=32):
@@ -200,7 +189,6 @@ def parallel_park_demo(l, t, theta0=0.0, n_steps=32):
         columns=["x", "y", "theta_0", "phi"],
         states=np.array(pts),
         ledger={"lateral": lateral},
-        meta={"system": "parallel-park", "axle_span": l, "leg_time": t},
     )
 
 

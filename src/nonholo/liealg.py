@@ -45,12 +45,6 @@ def constraint_values(m, A, constraints):
     return np.array([float(a @ (Ainv @ m)) for a in constraints])
 
 
-def eps_gram(A, constraints):
-    Ainv = np.linalg.inv(_as_operator(A))
-    a = np.asarray(constraints, dtype=float).reshape(-1, 3)
-    return a @ Ainv @ a.T
-
-
 def _constrained_flow(A, constraints):
     """The map m -> (m', lambda) of the constrained momentum flow, and A^{-1}.
 
@@ -126,7 +120,6 @@ def integrate_lie(flow, m0, t_span, stepper, record_every=1):
             "energy": np.array([spin_energy(m, B) for m in states]),
             "casimir": np.einsum("ij,ij->i", states, states),
         }
-        meta = {"system": "spin-free"}
     elif kind == "constrained":
         A = _as_operator(flow[1])
         constraints = np.asarray(flow[2], dtype=float).reshape(-1, 3)
@@ -146,9 +139,6 @@ def integrate_lie(flow, m0, t_span, stepper, record_every=1):
         }
         for i in range(lams.shape[1]):
             ledger[f"lambda_{i}"] = lams[:, i]
-        meta = {"system": "spin-constrained"}
     else:
         raise ValueError(f"unknown flow kind {kind!r}")
-    return Trajectory(
-        times=times, columns=["m1", "m2", "m3"], states=states, ledger=ledger, meta=meta
-    )
+    return Trajectory(times=times, columns=["m1", "m2", "m3"], states=states, ledger=ledger)

@@ -11,7 +11,6 @@ import numpy as np
 from nonholo.errors import NonFinite
 from nonholo.numkit import integrate, spectral_derivative
 from nonholo.numkit.spectral import derivative_from
-from nonholo.numkit.steppers import march
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -79,12 +78,8 @@ def integrate_ll(L0, t_span, stepper, renormalize=False, record_every=1):
         L = y.reshape(n, 3)
         return (L / np.linalg.norm(L, axis=1)[:, None]).ravel()
 
-    if renormalize:
-        times, states = march(rhs, L0.ravel(), t_span, stepper.dt, record_every, unit_rows)
-    else:
-        times, states = integrate(
-            rhs, L0.ravel(), t_span, stepper, record_every=record_every
-        )
+    times, states = integrate(rhs, L0.ravel(), t_span, stepper, record_every=record_every,
+                              project=unit_rows if renormalize else None)
     loops = states.reshape(len(times), n, 3)
     ledger = {
         "energy": np.array([spin_energy(L) for L in loops]),
@@ -99,7 +94,6 @@ def integrate_ll(L0, t_span, stepper, renormalize=False, record_every=1):
         columns=cols,
         states=states,
         ledger=ledger,
-        meta={"system": "spin-chain", "n": n, "renormalize": renormalize},
     )
 
 
@@ -140,7 +134,6 @@ def integrate_binormal(gamma0, t_span, stepper, length=TWO_PI, record_every=1):
         columns=cols,
         states=states,
         ledger=ledger,
-        meta={"system": "filament", "n": n},
     )
 
 

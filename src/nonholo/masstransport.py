@@ -14,7 +14,6 @@ from nonholo.numkit.spectral import _check_pow2, _mask, jacobian_2d
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
-TAIL_ALARM = 1e-3
 
 
 def _check_field(u, name):
@@ -95,7 +94,6 @@ def integrate_burgers(u0, t_span, stepper, lengths=(TWO_PI, TWO_PI), record_ever
         columns=["speed_max", "mean_ux", "mean_uy"],
         states=states,
         ledger=ledger,
-        meta={"system": "advection", "shape": list(shape)},
     )
     return traj, frames
 
@@ -123,7 +121,6 @@ def integrate_hj(f0, t_span, stepper, lengths=(TWO_PI, TWO_PI), record_every=1):
         columns=["f_min", "f_max"],
         states=states,
         ledger=ledger,
-        meta={"system": "potential-flow", "shape": list(shape)},
     )
     return traj, frames
 

@@ -107,7 +107,7 @@ def jacobian_2d(v, lengths=(2.0 * np.pi, 2.0 * np.pi), v_d=None):
     return d
 
 
-def dealias_1d(values, length=None):
+def dealias_1d(values):
     """Zero modes with |k| > n//3 along axis 0 (2/3 rule)."""
     return dealias_1d_from(np.fft.fft(np.asarray(values, dtype=float), axis=0))
 

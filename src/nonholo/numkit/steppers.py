@@ -25,9 +25,6 @@ class Stepper:
     def rk4(cls, dt):
         return cls(dt=dt)
 
-    def as_dict(self):
-        return {"scheme": self.scheme, "dt": self.dt}
-
 
 def _check_finite(y, what):
     ok = all(map(math.isfinite, y)) if isinstance(y, list) else np.all(np.isfinite(y))
@@ -118,9 +115,9 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
     return np.array(times), np.array(states)
 
 
-def integrate(rhs, y0, t_span, stepper, record_every=1):
+def integrate(rhs, y0, t_span, stepper, record_every=1, project=None):
     """Integrate rhs over t_span with ``stepper``; returns (times, states) arrays.
 
-    See ``march`` for the step schedule and the choice of loop.
+    See ``march`` for the step schedule, the choice of loop and ``project``.
     """
-    return march(rhs, y0, t_span, stepper.dt, record_every)
+    return march(rhs, y0, t_span, stepper.dt, record_every, project)

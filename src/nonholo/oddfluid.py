@@ -376,6 +376,5 @@ def integrate_fluid(system, state0, params, t_span, stepper, record_every=1):
         columns=["rho_min", "rho_max", "speed_max", "div_l2"],
         states=states,
         ledger=ledger,
-        meta={"system": f"fluid-{system}", "shape": list(shape), "mu": params.mu, "nu": params.nu},
     )
     return traj, frames

@@ -179,22 +179,13 @@ def integrate_skate(system, y0, g, t_span, stepper=None, mu=0.0, nu=None, alpha=
 
     times, states = integrate(rhs, y0, t_span, stepper, record_every=record_every)
 
-    ledger = {}
-    if system == "reduced":
-        ledger["energy"] = skate_energy(states[:, 0], states[:, 3], states[:, 4], g)
-    elif system == "lda":
-        ledger["energy"] = skate_energy(states[:, 0], states[:, 3], states[:, 4], g)
-    else:
-        ledger["energy"] = np.array([regularized_energy(s, g, nu) for s in states])
+    if system == "regularized":
+        energy = np.array([regularized_energy(s, g, nu) for s in states])
         phi = states[:, 3] * np.sin(states[:, 2]) - states[:, 4] * np.cos(states[:, 2])
-        ledger["phi"] = phi
-
-    meta = {
-        "system": f"skate-{system}",
-        "params": {"g": g, "mu": mu, "nu": nu, "alpha": alpha},
-        "stepper": stepper.as_dict(),
-    }
-    return Trajectory(times, columns, states, ledger, meta)
+        ledger = {"energy": energy, "phi": phi}
+    else:
+        ledger = {"energy": skate_energy(states[:, 0], states[:, 3], states[:, 4], g)}
+    return Trajectory(times, columns, states, ledger)
 
 
 def fit_circle(x, y):

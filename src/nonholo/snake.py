@@ -7,17 +7,34 @@ string follows the free sleigh's trajectory (a circle or a line), and
 every string point replays the contact point's path with a constant time
 delay.
 
-scipy (quadrature and splines) is imported inside the functions that use
-it, so importing this module, and with it the CLI, does not load scipy.
+Arclengths come from one quadrature routine, ``_cumulative_arclength``, and
+frames are written as CSV and time-lapse SVG by the writers in
+``nonholo.trajectory``.  scipy (quadrature and splines) is imported inside
+the functions that use it, so importing this module, and with it the CLI,
+does not load scipy.
 """
 
 import numpy as np
 
 from nonholo.errors import DomainExceeded
-from nonholo.skate import LDA_COLUMNS, integrate_skate, initial_reduced
-from nonholo.trajectory import Trajectory, _fmt
+from nonholo.skate import integrate_skate, initial_reduced
+from nonholo.trajectory import Trajectory, csv_bytes, svg_bytes
 
 _ARCLENGTH_TOL = 1e-8
+
+
+def _cumulative_arclength(dspline, grid):
+    """Arclength from grid[0] to each grid point of the curve whose derivative is ``dspline``.
+
+    Each grid interval is one adaptive quadrature of the speed; the running
+    sum starts at 0.
+    """
+    from scipy.integrate import quad
+
+    speed = lambda s: float(np.linalg.norm(dspline(s)))
+    tol = _ARCLENGTH_TOL / len(grid)
+    segments = [quad(speed, a, b, epsabs=tol, limit=200)[0] for a, b in zip(grid[:-1], grid[1:])]
+    return np.concatenate([[0.0], np.cumsum(segments)])
 
 
 class HeadPath:
@@ -29,7 +46,6 @@ class HeadPath:
     """
 
     def __init__(self, points):
-        from scipy.integrate import quad
         from scipy.interpolate import CubicSpline
 
         points = np.asarray(points, dtype=float)
@@ -38,27 +54,10 @@ class HeadPath:
         tau = np.linspace(0.0, 1.0, len(points))
         self._spline = CubicSpline(tau, points, axis=0)
         self._dspline = self._spline.derivative()
-
-        speed = lambda t: float(np.linalg.norm(self._dspline(t)))
-        cum = [0.0]
-        for a, b in zip(tau[:-1], tau[1:]):
-            seg, _ = quad(speed, a, b, epsabs=_ARCLENGTH_TOL / len(points), limit=200)
-            cum.append(cum[-1] + seg)
-        self._arclength_at_tau = np.array(cum)
-        self.length = float(cum[-1])
+        self.length = float(_cumulative_arclength(self._dspline, tau)[-1])
         # dense inverse map s -> tau, refined by Newton on demand
         dense_tau = np.linspace(0.0, 1.0, 16 * len(points))
-        dense_s = np.concatenate(
-            [
-                [0.0],
-                np.cumsum(
-                    [
-                        quad(speed, a, b, epsabs=_ARCLENGTH_TOL / len(dense_tau), limit=200)[0]
-                        for a, b in zip(dense_tau[:-1], dense_tau[1:])
-                    ]
-                ),
-            ]
-        )
+        dense_s = _cumulative_arclength(self._dspline, dense_tau)
         self._dense_s_max = float(dense_s[-1])
         if not (np.all(np.diff(dense_s) > 0) and np.isfinite(self._dense_s_max)):
             raise ValueError(
@@ -115,27 +114,18 @@ def snake_evolve(head, f, t_grid, s_grid):
     return np.array(frames)
 
 
-def frame_arclength(frame, s_grid=None):
+def frame_arclength(frame, s_grid):
     """Arclength of one string frame via spline quadrature.
 
-    A cubic spline through the sampled points (parametrized by ``s_grid``
-    when given, by chord length otherwise) recovers the smooth curve's
-    length far more accurately than the raw polyline sum.
+    A cubic spline through the sampled points, parametrized by ``s_grid``,
+    recovers the smooth curve's length far more accurately than the raw
+    polyline sum.
     """
-    from scipy.integrate import quad
     from scipy.interpolate import CubicSpline
 
-    frame = np.asarray(frame, dtype=float)
-    if s_grid is None:
-        chord = np.linalg.norm(np.diff(frame, axis=0), axis=1)
-        s_grid = np.concatenate([[0.0], np.cumsum(chord)])
     s_grid = np.asarray(s_grid, dtype=float)
     dspline = CubicSpline(s_grid, frame, axis=0).derivative()
-    speed = lambda s: float(np.linalg.norm(dspline(s)))
-    total = 0.0
-    for a, b in zip(s_grid[:-1], s_grid[1:]):
-        total += quad(speed, a, b, epsabs=_ARCLENGTH_TOL / len(s_grid), limit=200)[0]
-    return total
+    return float(_cumulative_arclength(dspline, s_grid)[-1])
 
 
 def collinearity_residual(frames, t_grid, s_grid):
@@ -207,7 +197,6 @@ def sleigh_with_string(v0, omega0, L, t_span, stepper=None, n_string=50, record_
         full.columns,
         full.states[keep],
         {k: v[keep] for k, v in full.ledger.items()},
-        full.meta,
     )
     return traj, np.array(frames)
 
@@ -218,42 +207,14 @@ def sleigh_with_string(v0, omega0, L, t_span, stepper=None, n_string=50, record_
 
 def frame_to_csv(frame, s_grid=None):
     """One string frame as CSV bytes with columns s,x,y."""
-    frame = np.asarray(frame, dtype=float)
+    frame = np.asarray(frame, dtype=float).reshape(-1, 2)
     if s_grid is None:
         s_grid = np.arange(len(frame), dtype=float)
-    lines = ["s,x,y"]
-    for s, (px, py) in zip(s_grid, frame):
-        lines.append(f"{_fmt(s)},{_fmt(px)},{_fmt(py)}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return csv_bytes(["s", "x", "y"], np.column_stack([s_grid, frame]))
 
 
 def timelapse_svg(frames, title=None):
-    """All frames overlaid on one 800x600 equal-aspect canvas, fading with age."""
-    frames = np.asarray(frames, dtype=float)
-    W, H, margin = 800, 600, 40
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{W // 2}" y="24" text-anchor="middle">{title}</text>')
-    if frames.size:
-        allx = frames[:, :, 0]
-        ally = frames[:, :, 1]
-        cx = 0.5 * (allx.min() + allx.max())
-        cy = 0.5 * (ally.min() + ally.max())
-        half = 0.5 * max(allx.max() - allx.min(), ally.max() - ally.min(), 1e-30)
-        scale = min(W, H) / 2.0 - margin
-        nf = len(frames)
-        for i, fr in enumerate(frames):
-            px = (fr[:, 0] - cx) / half * scale + W / 2.0
-            py = -(fr[:, 1] - cy) / half * scale + H / 2.0
-            opacity = 0.15 + 0.85 * (i + 1) / nf
-            pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="steelblue" '
-                f'stroke-opacity="{opacity:.3f}"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts).encode("ascii")
+    """All frames overlaid on one equal-aspect canvas, fading with age."""
+    nf = len(frames)
+    styles = [f' stroke-opacity="{0.15 + 0.85 * (i + 1) / nf:.3f}"' for i in range(nf)]
+    return svg_bytes(frames, title, styles=styles)

@@ -82,6 +82,25 @@ def test_unit_norm_drift_without_renormalization():
     assert tr.column("norm_dev").max() < 1e-8
 
 
+def test_renormalized_steps_go_through_integrate(monkeypatch):
+    # the projected march is the one that ``integrate`` runs, so wrappers of
+    # ``integrate`` see every step and rhs call of a renormalized chain
+    from nonholo import loopgroup
+
+    calls = []
+    real = loopgroup.integrate
+
+    def spy(rhs, y0, t_span, stepper, **kwargs):
+        calls.append(kwargs.get("project"))
+        return real(rhs, y0, t_span, stepper, **kwargs)
+
+    monkeypatch.setattr(loopgroup, "integrate", spy)
+    L = magnon(32, 1, 0.3) * 1.001
+    tr = integrate_ll(L, (0, 0.01), Stepper.rk4(1e-3), renormalize=True, record_every=5)
+    assert len(calls) == 1 and calls[0] is not None
+    assert tr.column("norm_dev")[1:].max() < 1e-15
+
+
 def test_momentum_rate_is_a_total_derivative():
     # d/dt int L = int (L x L')' = 0 on the periodic grid
     rng = np.random.default_rng(8)

@@ -45,7 +45,8 @@ class TestSteppers:
             integrate(rhs, [1.0], (0.0, 1.1), Stepper.rk4(1e-2))
 
     def test_rk4_is_the_only_scheme(self):
-        assert Stepper.rk4(0.1).as_dict() == {"scheme": "rk4", "dt": 0.1}
+        stepper = Stepper.rk4(0.1)
+        assert (stepper.scheme, stepper.dt) == ("rk4", 0.1)
         with pytest.raises(TypeError):
             Stepper(scheme="rk45", dt=0.1)
 

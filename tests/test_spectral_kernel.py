@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonholo import camassaholm, loopgroup, masstransport, oddfluid, trajectory
-from nonholo.cli import _field_csv
 from nonholo.numkit import spectral
 from nonholo.numkit.spectral import (
     dealias_1d,
@@ -387,4 +386,4 @@ class TestCsvWriter:
     def test_field_csv_matches_per_value_format(self, data, rows, cols):
         grid = np.array(data.draw(st.lists(values, min_size=rows * cols,
                                            max_size=rows * cols))).reshape(rows, cols)
-        assert _field_csv(grid) == ref_field_csv(grid)
+        assert trajectory.csv_bytes([], grid) == ref_field_csv(grid)

@@ -7,35 +7,21 @@ operator inside the time derivative; u is recovered by the Fourier
 multiplier 1/(1 + k^2).
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from nonholo.errors import NonFinite
 from nonholo.numkit import dealias_1d, integrate, spectral_derivative
-from nonholo.numkit.spectral import _check_pow2, _readonly, wavenumbers
-from nonholo.numkit.spectral import dealias_1d_from, derivative_from
+from nonholo.numkit.spectral import (
+    check_grid,
+    dealias_1d_from,
+    derivative_from,
+    forward,
+    helmholtz_inverse,
+    helmholtz_inverse_from,
+)
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
-
-
-@lru_cache(maxsize=64)
-def _helmholtz_symbol(n):
-    """1 + k^2 on the 2 pi circle (read-only, cached per grid size)."""
-    _check_pow2(n)
-    k = wavenumbers(n, TWO_PI)
-    return _readonly(1.0 + k * k)
-
-
-def _helmholtz_inverse_from(mh):
-    """helmholtz_inverse(m) from ``mh = np.fft.fft(m)``."""
-    return np.real(np.fft.ifft(mh / _helmholtz_symbol(len(mh))))
-
-
-def helmholtz_inverse(m):
-    """u with u - u_xx = m on the 2 pi circle: multiplier 1/(1 + k^2)."""
-    return _helmholtz_inverse_from(np.fft.fft(np.asarray(m, dtype=float)))
 
 
 def helmholtz_apply(u):
@@ -48,10 +34,10 @@ def ch_rhs(m, kappa=0.0):
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise NonFinite("momentum field contains non-finite entries")
-    mh = np.fft.fft(m)
-    u = _helmholtz_inverse_from(mh)
+    mh = forward(m)
+    u = helmholtz_inverse_from(mh)
     mx, md = derivative_from(mh, 1, TWO_PI), dealias_1d_from(mh)
-    uh = np.fft.fft(u)
+    uh = forward(u)
     ux, ud = derivative_from(uh, 1, TWO_PI), dealias_1d_from(uh)
     uxd, mxd = dealias_1d(ux), dealias_1d(mx)
     out = dealias_1d(-(2.0 * uxd * md + ud * mxd)) - kappa * ux
@@ -66,7 +52,7 @@ def ch_rhs_velocity_form(u, kappa=0.0):
     Evaluates -(kappa u_x + 3 u u_x - 2 u_x u_xx - u u_xxx) and applies the
     Helmholtz inverse to identify u_t from (1 - d_xx) u_t.
     """
-    uh = np.fft.fft(np.asarray(u, dtype=float))
+    uh = forward(np.asarray(u, dtype=float))
     ux, uxx, uxxx = (derivative_from(uh, order, TWO_PI) for order in (1, 2, 3))
     ud = dealias_1d_from(uh)
     uxd, uxxd, uxxxd = (dealias_1d(f) for f in (ux, uxx, uxxx))
@@ -88,7 +74,7 @@ def h1_energy(m, u=None):
 def integrate_ch(m0, kappa, t_span, stepper, record_every=1):
     """Integrate the momentum form; ledger records mean(u) and the H^1 energy."""
     m0 = np.asarray(m0, dtype=float)
-    _check_pow2(len(m0))
+    check_grid(len(m0))
 
     def rhs(t, m):
         return ch_rhs(m, kappa)

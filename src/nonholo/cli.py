@@ -57,7 +57,7 @@ MAX_SAMPLES = 10_000  # snake grid and head-path samples, sleigh string points, 
 MAX_GRID_1D = 4096  # spectral n of heisenberg, binormal and camassa-holm
 MAX_GRID_2D = 512  # spectral n of odd-fluid and burgers
 MAX_ENTRIES = 256  # Fourier modes of one field; declared checks
-MAX_COUNT = 10**9  # record_every; the size of a Fourier or magnon wavenumber
+MAX_COUNT = 10**9  # record_every; the size of a Fourier or magnon wavenumber; RK4 steps
 
 _CHECKS = {
     "checks": ListOf(Obj({"name": Choice(), "tol": Real(0.0, low=0.0)}), MAX_ENTRIES, []),
@@ -189,12 +189,15 @@ SCHEMAS = {command: Obj(fields) for command, fields in {
 
 
 def _horizon(cfg):
-    """(t_span, RK4 stepper) of a run whose span and step give a finite step count."""
+    """(t_span, RK4 stepper) of a run whose span and step give at most MAX_COUNT steps."""
     (t0, t1), dt = cfg["t_span"], cfg["dt"]
     if t1 <= t0:
         raise ConfigError("config key 't_span' must be [t0, t1] with t1 > t0")
-    if not math.isfinite((t1 - t0) / dt):
+    steps = (t1 - t0) / dt
+    if not math.isfinite(steps):
         raise ConfigError("config keys 't_span' and 'dt' give a non-finite step count")
+    if steps > MAX_COUNT:
+        raise ConfigError(f"config keys 't_span' and 'dt' give more than {MAX_COUNT} steps")
     return (t0, t1), Stepper.rk4(dt)
 
 

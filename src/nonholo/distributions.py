@@ -310,20 +310,11 @@ def car_trailer_fields(n, l=1.0):
 
 
 def goursat_normal_form(n):
-    """The unit-growth normal-form pair on R^n (coordinates x_1..x_n)."""
+    """The unit-growth normal-form pair on R^n (coordinates x_1..x_n):
+    e_n and e_1 + sum_{k>=3} x_k e_{k-1}, the Cartan fields of jet order n - 2."""
     if n < 3:
         raise ValueError("normal form needs dimension >= 3")
-
-    v1 = VectorField(n, lambda q: [0.0] * (n - 1) + [1.0], "e_n")
-
-    def v2(q):
-        out = [0.0] * n
-        out[0] = 1.0
-        for k in range(3, n + 1):          # x_k d/dx_{k-1}
-            out[k - 2] = q[k - 1]
-        return out
-
-    return Distribution([v1, VectorField(n, v2, "chain")])
+    return cartan_distribution(n - 2)
 
 
 def cartan_distribution(s):

@@ -2,12 +2,7 @@
 
 from nonholo.numkit.jets import Jet, jet_variables
 from nonholo.numkit.rank import numerical_rank
-from nonholo.numkit.spectral import (
-    dealias_1d,
-    dealias_2d,
-    spectral_derivative,
-    spectral_partial_2d,
-)
+from nonholo.numkit.spectral import dealias_1d, dealias_2d, spectral_derivative
 from nonholo.numkit.steppers import Stepper, integrate
 
 __all__ = [
@@ -19,5 +14,4 @@ __all__ = [
     "jet_variables",
     "numerical_rank",
     "spectral_derivative",
-    "spectral_partial_2d",
 ]

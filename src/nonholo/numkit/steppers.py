@@ -75,6 +75,8 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
     span = (t1 - t0) / dt
     if not np.isfinite(span):
         raise ValueError(f"t_span {t_span!r} and dt {dt!r} give a non-finite step count")
+    if span < 0:
+        raise ValueError(f"t_span {t_span!r} runs against the sign of dt {dt!r}")
     nsteps = int(round(span))
     exact = abs(t0 + nsteps * dt - t1) <= 1e-9 * max(1.0, abs(t1))
     if not exact:

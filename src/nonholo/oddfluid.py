@@ -10,13 +10,13 @@ through a modified pressure and viscosity; the relaxation drains the
 extended energy at a rate proportional to the squared deviation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from nonholo.errors import NegativeDensity, NonFinite
-from nonholo.numkit import Jet, dealias_2d, integrate, spectral_partial_2d
-from nonholo.numkit.spectral import _check_pow2, jacobian_2d
+from nonholo.numkit import Jet, dealias_2d, integrate, spectral_derivative
+from nonholo.numkit.spectral import check_grid, jacobian_2d
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -77,33 +77,28 @@ class FluidParams:
         # p = rho eps'(rho) - eps(rho)
         return rho * self.eps_prime(rho) - self.internal_energy(rho)
 
-    def gamma_hat(self, rho):
-        """Gamma_H - eta_H + rho * eta_H'."""
+    def coefficients(self, rho):
+        """(eta_H, Gamma_H, Gamma_hat) on rho, each coefficient function
+        evaluated once; Gamma_hat = Gamma_H - eta_H + rho * eta_H'."""
         eh, ehp = coefficient_and_derivative(self.eta_H, rho)
         gh, _ = coefficient_and_derivative(self.Gamma_H, rho)
-        return gh - eh + rho * ehp
-
-    def eta_value(self, rho):
-        return coefficient_and_derivative(self.eta_H, rho)[0]
-
-    def gamma_value(self, rho):
-        return coefficient_and_derivative(self.Gamma_H, rho)[0]
+        return eh, gh, gh - eh + rho * ehp
 
 
 @dataclass
 class FluidState:
-    """Density, velocity, and (extended system) angular-momentum deviation."""
+    """Density, velocity, and (extended system) angular-momentum deviation
+    on the grid of [0, 2 pi)^2."""
 
     rho: np.ndarray
     v: np.ndarray
     ell: np.ndarray = None
-    lengths: tuple = field(default=(TWO_PI, TWO_PI))
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        _check_pow2(self.rho.shape[0])
-        _check_pow2(self.rho.shape[1])
+        check_grid(self.rho.shape[0])
+        check_grid(self.rho.shape[1])
         if self.v.shape != (2,) + self.rho.shape:
             raise ValueError("velocity must have shape (2, nx, ny)")
         if self.ell is not None:
@@ -153,18 +148,19 @@ def viscous_stress(eta_H, Gamma_H, ell, dv, mode):
     return T
 
 
-def stress_tensor(state, params, mode="base", dv=None, ghat=None):
+def stress_tensor(state, params, mode="base", dv=None, coefs=None):
     """Full stress T_ij on the grid, shape (2, 2, nx, ny).
 
-    The velocity Jacobian ``dv`` and, in the extended mode, ``ghat`` =
-    Gamma_hat(rho) are computed here unless the caller already has them.
+    The velocity Jacobian ``dv`` and ``coefs`` = params.coefficients(rho)
+    are computed here unless the caller already has them.
     """
     _check_state(state.rho, state.v, state.ell)
     if dv is None:
-        dv = velocity_jacobian(state.v, state.lengths)
+        dv = velocity_jacobian(state.v)
+    if coefs is None:
+        coefs = params.coefficients(state.rho)
+    eta, gam, ghat = coefs
     p = params.pressure(state.rho)
-    eta = params.eta_value(state.rho)
-    gam = params.gamma_value(state.rho)
     if mode == "base":
         T = viscous_stress(eta, gam, None, dv, "base")
     elif mode == "extended":
@@ -173,8 +169,6 @@ def stress_tensor(state, params, mode="base", dv=None, ghat=None):
         dl = state.ell
         ell = dl - 2.0 * eta
         nu = params.nu
-        if ghat is None:
-            ghat = params.gamma_hat(state.rho)
         p = p + dl * dl / (2.0 * nu) + (2.0 / nu) * ghat * dl
         T = viscous_stress(eta, gam, ell, dv, "extended")
     else:
@@ -184,18 +178,18 @@ def stress_tensor(state, params, mode="base", dv=None, ghat=None):
     return T
 
 
-def _euler_terms(rho, dv, v_d, T, lengths):
+def _divergence(f0, f1):
+    """d1 f0 + d2 f1 of the field with components (f0, f1)."""
+    return spectral_derivative(f0, 1, axis=0) + spectral_derivative(f1, 1, axis=1)
+
+
+def _euler_terms(rho, dv, v_d, T):
     rho_d = dealias_2d(rho)
-    rho_t = -(
-        spectral_partial_2d(dealias_2d(rho_d * v_d[0]), 1, 0, lengths)
-        + spectral_partial_2d(dealias_2d(rho_d * v_d[1]), 1, 1, lengths)
-    )
+    rho_t = -_divergence(dealias_2d(rho_d * v_d[0]), dealias_2d(rho_d * v_d[1]))
     v_t = np.empty_like(v_d)
     for j in range(2):
         adv = v_d[0] * dealias_2d(dv[0, j]) + v_d[1] * dealias_2d(dv[1, j])
-        divT = spectral_partial_2d(T[0, j], 1, 0, lengths) + spectral_partial_2d(
-            T[1, j], 1, 1, lengths
-        )
+        divT = _divergence(T[0, j], T[1, j])
         v_t[j] = dealias_2d(-adv + dealias_2d(divT) / rho_d)
     return dealias_2d(rho_t), v_t
 
@@ -203,41 +197,38 @@ def _euler_terms(rho, dv, v_d, T, lengths):
 def base_rhs(state, params):
     """(rho_t, v_t) of the parity-breaking barotropic system."""
     v_d = np.empty_like(state.v)  # dealiased velocity, from the Jacobian's transforms
-    dv = velocity_jacobian(state.v, state.lengths, v_d)
+    dv = velocity_jacobian(state.v, v_d)
     T = stress_tensor(state, params, "base", dv)
-    return _euler_terms(state.rho, dv, v_d, T, state.lengths)
+    return _euler_terms(state.rho, dv, v_d, T)
 
 
 def effective_rhs(state, params):
     """Base system with the relaxation-limit pressure shift -(8/mu) Gamma_hat div v."""
-    lengths = state.lengths
     v_d = np.empty_like(state.v)
-    dv = velocity_jacobian(state.v, lengths, v_d)
-    T = stress_tensor(state, params, "base", dv)
-    shift = dealias_2d(-(8.0 / params.mu) * params.gamma_hat(state.rho) * (dv[0, 0] + dv[1, 1]))
+    dv = velocity_jacobian(state.v, v_d)
+    coefs = params.coefficients(state.rho)
+    T = stress_tensor(state, params, "base", dv, coefs)
+    shift = dealias_2d(-(8.0 / params.mu) * coefs[2] * (dv[0, 0] + dv[1, 1]))
     T[0, 0] -= shift
     T[1, 1] -= shift
-    return _euler_terms(state.rho, dv, v_d, T, lengths)
+    return _euler_terms(state.rho, dv, v_d, T)
 
 
 def extended_rhs(state, params):
     """(rho_t, v_t, dl_t) of the system with the relaxing deviation field."""
     if state.ell is None:
         raise ValueError("extended dynamics needs the deviation field")
-    lengths = state.lengths
     v_d = np.empty_like(state.v)
-    dv = velocity_jacobian(state.v, lengths, v_d)
-    ghat = params.gamma_hat(state.rho)
-    T = stress_tensor(state, params, "extended", dv, ghat)
-    rho_t, v_t = _euler_terms(state.rho, dv, v_d, T, lengths)
+    dv = velocity_jacobian(state.v, v_d)
+    coefs = params.coefficients(state.rho)
+    T = stress_tensor(state, params, "extended", dv, coefs)
+    rho_t, v_t = _euler_terms(state.rho, dv, v_d, T)
     dl = dealias_2d(state.ell)
     div = dv[0, 0] + dv[1, 1]
-    transport = spectral_partial_2d(dealias_2d(dl * v_d[0]), 1, 0, lengths) + spectral_partial_2d(
-        dealias_2d(dl * v_d[1]), 1, 1, lengths
-    )
+    transport = _divergence(dealias_2d(dl * v_d[0]), dealias_2d(dl * v_d[1]))
     dl_t = dealias_2d(
         -transport
-        - 2.0 * dealias_2d(ghat * div)
+        - 2.0 * dealias_2d(coefs[2] * div)
         - (params.mu / params.nu) * state.ell
     )
     return rho_t, v_t, dl_t
@@ -247,8 +238,8 @@ def extended_rhs(state, params):
 # energies and balance checks
 
 
-def _cell_area(shape, lengths):
-    return lengths[0] * lengths[1] / (shape[0] * shape[1])
+def _cell_area(shape):
+    return TWO_PI * TWO_PI / (shape[0] * shape[1])
 
 
 def fluid_energy(state, params):
@@ -256,13 +247,13 @@ def fluid_energy(state, params):
     dens = 0.5 * state.rho * (state.v[0] ** 2 + state.v[1] ** 2) + params.internal_energy(
         state.rho
     )
-    return float(np.sum(dens)) * _cell_area(state.shape, state.lengths)
+    return float(np.sum(dens)) * _cell_area(state.shape)
 
 
 def extended_energy(state, params):
     """H_nu = H + integral (dl)^2 / (2 nu)."""
     extra = float(np.sum(state.ell ** 2)) / (2.0 * params.nu)
-    return fluid_energy(state, params) + extra * _cell_area(state.shape, state.lengths)
+    return fluid_energy(state, params) + extra * _cell_area(state.shape)
 
 
 def rayleigh_dissipation(state, params):
@@ -272,7 +263,7 @@ def rayleigh_dissipation(state, params):
         * params.mu
         / params.nu
         * float(np.sum(state.ell ** 2))
-        * _cell_area(state.shape, state.lengths)
+        * _cell_area(state.shape)
     )
 
 
@@ -284,7 +275,7 @@ def energy_rate(state, params, rhs_func):
     """
     out = rhs_func(state, params)
     rho_t, v_t = out[0], out[1]
-    area = _cell_area(state.shape, state.lengths)
+    area = _cell_area(state.shape)
     rate = np.sum(
         (0.5 * (state.v[0] ** 2 + state.v[1] ** 2) + params.eps_prime(state.rho)) * rho_t
     )
@@ -301,8 +292,9 @@ def energy_balance_residual(state, params):
 
 def slaved_deviation(state, params):
     """Leading small-coupling deviation -(4 nu / mu) Gamma_hat div v."""
-    dv = velocity_jacobian(state.v, state.lengths)
-    return -(4.0 * params.nu / params.mu) * params.gamma_hat(state.rho) * (dv[0, 0] + dv[1, 1])
+    dv = velocity_jacobian(state.v)
+    ghat = params.coefficients(state.rho)[2]
+    return -(4.0 * params.nu / params.mu) * ghat * (dv[0, 0] + dv[1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +308,12 @@ def _pack(state):
     return np.concatenate(parts)
 
 
-def _unpack(y, shape, lengths, with_ell):
+def _unpack(y, shape, with_ell):
     m = shape[0] * shape[1]
     rho = y[:m].reshape(shape)
     v = np.stack([y[m : 2 * m].reshape(shape), y[2 * m : 3 * m].reshape(shape)])
     ell = y[3 * m : 4 * m].reshape(shape) if with_ell else None
-    return FluidState(rho=rho, v=v, ell=ell, lengths=lengths)
+    return FluidState(rho=rho, v=v, ell=ell)
 
 
 def integrate_fluid(system, state0, params, t_span, stepper, record_every=1):
@@ -334,13 +326,13 @@ def integrate_fluid(system, state0, params, t_span, stepper, record_every=1):
     with_ell = system == "extended"
     if with_ell and state0.ell is None:
         raise ValueError("extended integration needs the deviation field")
-    shape, lengths = state0.shape, state0.lengths
+    shape = state0.shape
     rhs_func = {"base": base_rhs, "effective": effective_rhs, "extended": extended_rhs}[
         system
     ]
 
     def rhs(t, y):
-        st = _unpack(y, shape, lengths, with_ell)
+        st = _unpack(y, shape, with_ell)
         out = rhs_func(st, params)
         parts = [out[0].ravel(), out[1][0].ravel(), out[1][1].ravel()]
         if with_ell:
@@ -348,11 +340,11 @@ def integrate_fluid(system, state0, params, t_span, stepper, record_every=1):
         return np.concatenate(parts)
 
     times, rows = integrate(rhs, _pack(state0), t_span, stepper, record_every=record_every)
-    frames = [_unpack(r, shape, lengths, with_ell) for r in rows]
-    area = _cell_area(shape, lengths)
+    frames = [_unpack(r, shape, with_ell) for r in rows]
+    area = _cell_area(shape)
 
     def div_l2(st):
-        dv = velocity_jacobian(st.v, lengths)
+        dv = velocity_jacobian(st.v)
         return float(np.sqrt(np.sum((dv[0, 0] + dv[1, 1]) ** 2) * area))
 
     states = np.array(

@@ -3,6 +3,7 @@
 import io
 import json
 import contextlib
+import sys
 
 import numpy as np
 import pytest
@@ -159,10 +160,12 @@ class TestExitCodes:
         assert f"config key {field!r}" in err
 
     def test_overflowing_step_count_names_t_span_and_dt(self, tmp_path):
-        cfg = {"system": "lda", "t_span": [0, 1e308], "dt": 1e-3}
-        code, out, err = run_cli(["skate", "--config", write_config(tmp_path, cfg)])
-        assert code == EXIT_CONFIG and out == ""
-        assert "'t_span'" in err and "'dt'" in err and "Traceback" not in err
+        # the second span is a finite count of ~1.8e308 steps: a run that never ends
+        for span, dt in (([0, 1e308], 1e-3), ([-sys.float_info.max, 0.01], 1.0)):
+            cfg = {"system": "reduced", "g": 1.0, "t_span": span, "dt": dt}
+            code, out, err = run_cli(["skate", "--config", write_config(tmp_path, cfg)])
+            assert code == EXIT_CONFIG and out == ""
+            assert "'t_span'" in err and "'dt'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command, cfg, field", [
         ("skate", {"system": "lda", "g": True}, "g"),

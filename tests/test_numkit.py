@@ -17,7 +17,6 @@ from nonholo.numkit import (
     jet_variables,
     numerical_rank,
     spectral_derivative,
-    spectral_partial_2d,
 )
 from nonholo.numkit import jets
 from nonholo.numkit.jets import derivative_along, monomials, n_monomials
@@ -69,10 +68,16 @@ class TestSteppers:
         with pytest.raises(NonFinite):
             integrate(lambda t, y: y, [np.nan], (0.0, 1.0), Stepper.rk4(0.1))
 
-    @pytest.mark.parametrize("t_span, dt", [((0.0, 1e308), 1e-3), ((-1e308, 1e308), 1.0)])
+    @pytest.mark.parametrize("t_span, dt", [((0.0, 1e308), 1e-3), ((-1e308, 1e308), 1.0),
+                                            ((0.0, -1.0), 0.1), ((0.0, 1.0), -0.1),
+                                            ((0.0, -0.05), 0.1)])
     def test_rk4_rejects_a_non_finite_step_count(self, t_span, dt):
-        with pytest.raises(ValueError, match="t_span .* dt .* non-finite step count"):
-            integrate(lambda t, y: y, [1.0], t_span, Stepper.rk4(dt))
+        # a span against the sign of dt would otherwise return the t0 sample alone
+        problem = "runs against the sign of dt" if (t_span[1] - t_span[0]) * dt < 0 else (
+            "and dt .* give a non-finite step count")
+        for rhs in (lambda t, y: y, lambda t, y: [-v for v in y]):
+            with pytest.raises(ValueError, match=f"t_span .* {problem}"):
+                integrate(rhs, [1.0], t_span, Stepper.rk4(dt))
 
     def test_rk4_shortens_the_last_step_to_land_on_t1(self):
         times, states = integrate(lambda t, y: -y, [1.0], (0.0, 0.0105), Stepper.rk4(1e-3))
@@ -375,8 +380,8 @@ class TestSpectral:
         x = np.arange(n) * (2 * np.pi / n)
         X, Y = np.meshgrid(x, x, indexing="ij")
         f = np.sin(X) * np.cos(2 * Y)
-        dx = spectral_partial_2d(f, 1, 0)
-        dy = spectral_partial_2d(f, 1, 1)
+        dx = spectral_derivative(f, 1, axis=0)
+        dy = spectral_derivative(f, 1, axis=1)
         assert np.abs(dx - np.cos(X) * np.cos(2 * Y)).max() < 1e-11
         assert np.abs(dy + 2 * np.sin(X) * np.sin(2 * Y)).max() < 1e-11
 

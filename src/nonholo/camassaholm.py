@@ -13,11 +13,11 @@ from nonholo.errors import NonFinite
 from nonholo.numkit import dealias_1d, integrate, spectral_derivative
 from nonholo.numkit.spectral import (
     check_grid,
-    dealias_1d_from,
-    derivative_from,
     forward,
     helmholtz_inverse,
-    helmholtz_inverse_from,
+    helmholtz_symbol,
+    inverse,
+    table,
 )
 from nonholo.trajectory import Trajectory
 
@@ -34,13 +34,11 @@ def ch_rhs(m, kappa=0.0):
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise NonFinite("momentum field contains non-finite entries")
+    t = table(m.shape)  # [M, i k M, i k]
     mh = forward(m)
-    u = helmholtz_inverse_from(mh)
-    mx, md = derivative_from(mh, 1, TWO_PI), dealias_1d_from(mh)
-    uh = forward(u)
-    ux, ud = derivative_from(uh, 1, TWO_PI), dealias_1d_from(uh)
-    uxd, mxd = dealias_1d(ux), dealias_1d(mx)
-    out = dealias_1d(-(2.0 * uxd * md + ud * mxd)) - kappa * ux
+    uh = mh / helmholtz_symbol(len(m))
+    (md, mxd), (ud, uxd) = inverse(t[:2] * np.stack([mh, uh])[:, None])
+    out = inverse(t[0] * forward(-(2.0 * uxd * md + ud * mxd)) - kappa * t[2] * uh)
     if not np.all(np.isfinite(out)):
         raise NonFinite("blow-up in the momentum derivative")
     return out
@@ -52,10 +50,8 @@ def ch_rhs_velocity_form(u, kappa=0.0):
     Evaluates -(kappa u_x + 3 u u_x - 2 u_x u_xx - u u_xxx) and applies the
     Helmholtz inverse to identify u_t from (1 - d_xx) u_t.
     """
-    uh = forward(np.asarray(u, dtype=float))
-    ux, uxx, uxxx = (derivative_from(uh, order, TWO_PI) for order in (1, 2, 3))
-    ud = dealias_1d_from(uh)
-    uxd, uxxd, uxxxd = (dealias_1d(f) for f in (ux, uxx, uxxx))
+    ux, uxx, uxxx = (spectral_derivative(u, order) for order in (1, 2, 3))
+    ud, uxd, uxxd, uxxxd = (dealias_1d(f) for f in (u, ux, uxx, uxxx))
     rhs = -(kappa * ux + dealias_1d(3.0 * ud * uxd - 2.0 * uxd * uxxd - ud * uxxxd))
     return helmholtz_inverse(rhs)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from nonholo.errors import NonFinite
 from nonholo.numkit import integrate, spectral_derivative
-from nonholo.numkit.spectral import derivative_from, forward
+from nonholo.numkit.spectral import spectral_derivatives
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -109,8 +109,7 @@ def circle_curve(n, r=1.0):
 def binormal_rhs(gamma, length=TWO_PI):
     """gamma' x gamma'' for an arclength-scaled parametrization."""
     gamma = _check_loop(gamma, "curve")
-    gh = forward(gamma, 0)
-    return _cross(derivative_from(gh, 1, length), derivative_from(gh, 2, length))
+    return _cross(*spectral_derivatives(gamma, (1, 2), length))
 
 
 def curve_length(gamma, length=TWO_PI):

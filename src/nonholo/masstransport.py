@@ -9,8 +9,16 @@ differentiating the advection equation along u = grad f.
 import numpy as np
 
 from nonholo.errors import NonFinite
-from nonholo.numkit import dealias_2d, integrate, spectral_derivative
-from nonholo.numkit.spectral import check_grid, jacobian_2d, spectral_tail_fraction
+from nonholo.numkit import dealias_2d, integrate
+from nonholo.numkit.spectral import (
+    PLANE,
+    check_grid,
+    forward,
+    inverse,
+    spectral_tail_fraction,
+    table,
+    tail_fractions,
+)
 from nonholo.trajectory import Trajectory
 
 
@@ -22,22 +30,29 @@ def _check_field(u, name):
 
 
 def gradient(f):
-    return np.stack([spectral_derivative(f, 1, axis=0), spectral_derivative(f, 1, axis=1)])
+    """(d1 f, d2 f) of a 2-D field."""
+    f = np.asarray(f, dtype=float)
+    return inverse(table(f.shape)[3:] * forward(f, PLANE), PLANE)
+
+
+def _curl_from(uh, shape):
+    """d1 u2 - d2 u1 from the half spectrum ``uh`` of a velocity field on ``shape``."""
+    grad = table(shape)[3:]
+    return inverse(grad[0] * uh[1] - grad[1] * uh[0], PLANE)
 
 
 def curl_2d(u):
     """Scalar vorticity d1 u2 - d2 u1."""
-    return spectral_derivative(u[1], 1, axis=0) - spectral_derivative(u[0], 1, axis=1)
+    u = np.asarray(u, dtype=float)
+    return _curl_from(forward(u, PLANE), u.shape[1:])
 
 
 def burgers_rhs(u):
     """-(u . grad) u with dealiased products."""
     u = _check_field(u, "velocity")
-    out = np.empty_like(u)
-    ud = np.empty_like(u)
-    du = jacobian_2d(u, ud)
-    for j in range(2):
-        out[j] = -dealias_2d(ud[0] * dealias_2d(du[0, j]) + ud[1] * dealias_2d(du[1, j]))
+    # the dealiased velocity ud and its dealiased gradients du[i] = D_i u
+    ud, *du = inverse(table(u.shape[1:])[:3, None] * forward(u, PLANE), PLANE)
+    out = -dealias_2d(ud[0] * du[0] + ud[1] * du[1])
     if not np.all(np.isfinite(out)):
         raise NonFinite("blow-up in the advection derivative")
     return out
@@ -46,8 +61,8 @@ def burgers_rhs(u):
 def hj_rhs(f):
     """f_t = -|grad f|^2 / 2, re-projected to zero mean (gauge)."""
     f = _check_field(f, "potential")
-    g = gradient(f)
-    out = -0.5 * dealias_2d(dealias_2d(g[0]) ** 2 + dealias_2d(g[1]) ** 2)
+    g = inverse(table(f.shape)[1:3] * forward(f, PLANE), PLANE)  # dealiased gradient
+    out = -0.5 * dealias_2d(g[0] ** 2 + g[1] ** 2)
     return out - np.mean(out)
 
 
@@ -63,12 +78,11 @@ def integrate_burgers(u0, t_span, stepper, record_every=1):
 
     times, rows = integrate(rhs, u0.ravel(), t_span, stepper, record_every=record_every)
     frames = [r.reshape((2,) + shape) for r in rows]
-    ledger = {
-        "curl_max": np.array([np.max(np.abs(curl_2d(u))) for u in frames]),
-        "tail_fraction": np.array(
-            [max(spectral_tail_fraction(u[0]), spectral_tail_fraction(u[1])) for u in frames]
-        ),
-    }
+    ledger = {"curl_max": np.empty(len(frames)), "tail_fraction": np.empty(len(frames))}
+    for i, u in enumerate(frames):
+        uh = forward(u, PLANE)  # one transform serves the curl and the tail of both components
+        ledger["curl_max"][i] = np.max(np.abs(_curl_from(uh, shape)))
+        ledger["tail_fraction"][i] = np.max(tail_fractions(uh))
     states = np.array(
         [[float(np.max(np.hypot(u[0], u[1]))), float(np.mean(u[0])), float(np.mean(u[1]))] for u in frames]
     )

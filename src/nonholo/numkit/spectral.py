@@ -1,15 +1,19 @@
-"""One spectral kernel for periodic grids: Fourier-multiplier derivatives,
-2/3-rule dealiasing, the Helmholtz inverse and the aliased-tail energy.
+"""One spectral kernel for periodic grids: real-to-complex transforms on the
+half spectrum, Fourier-multiplier derivatives, 2/3-rule dealiasing, the
+Helmholtz inverse and the aliased-tail energy.
 
-This is the only module that transforms a field: callers pass values and
-get values back.  Grids are uniform with power-of-two sample counts; on a
-1-D grid node j sits at j * length / n, and 2-D fields live on [0, 2 pi)^2.
-Values may be scalar or vector-valued (components on the last axis);
-transforms always act on the spatial axes.  Multipliers and masks are
-cached read-only per grid, built on first use.  ``forward`` returns a
-transform that only the ``*_from`` functions read, so one transform of a
-field serves all its derivatives and its dealiased copy, bit-identical to
-transforming afresh (same ``np.fft`` calls and factors).
+This is the only module that transforms a field, and it calls only the real
+transforms (``rfft``/``irfft`` in 1-D, ``rfft2``/``irfft2`` in 2-D).  Grids are
+uniform with power-of-two sample counts; on a 1-D grid node j sits at
+j * length / n, and 2-D fields live on [0, 2 pi)^2.  ``forward`` and
+``inverse`` act along one axis (1-D) or over ``PLANE`` (2-D); other axes
+stack fields, so one call transforms them all.  Per grid one cached read-only
+``table``, built on first use, holds the half-spectrum 2/3 mask M and the
+first-derivative multipliers, dealiased (i k M, the mask folded in) and plain
+(i k).  So one forward transform of a field gives every dealiased derivative
+and the dealiased field, and a product is dealiased by masking its spectrum
+once, together with any derivative taken of it.  Results agree with full
+complex transforms to round-off, not bit for bit.
 """
 
 from functools import lru_cache
@@ -17,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+PLANE = (-2, -1)  # the spatial axes of 2-D fields; leading axes stack fields
 
 
 def check_grid(n):
@@ -25,127 +30,122 @@ def check_grid(n):
         raise ValueError(f"grid size {n} is not a power of two")
 
 
-def _wavenumbers(n, length):
-    return 2.0 * np.pi / length * np.fft.fftfreq(n, d=1.0 / n)
-
-
 def _readonly(a):
     a.flags.writeable = False
     return a
 
 
-@lru_cache(maxsize=256)
-def _multiplier(n, length, order):
-    """(i k)^order; the Nyquist mode of odd orders is zeroed (its multiplier
-    is purely imaginary and has no consistent real-signal interpretation)."""
-    if order not in (1, 2, 3):
-        raise ValueError("derivative order must be 1, 2, or 3")
-    check_grid(n)
-    mult = (1j * _wavenumbers(n, length)) ** order
-    if order % 2 == 1:
-        mult[n // 2] = 0.0
-    return _readonly(mult)
+def forward(values, axes=-1):
+    """Half spectrum of real ``values`` along one axis, or over the pair ``PLANE``."""
+    return np.fft.rfft(values, axis=axes) if np.ndim(axes) == 0 else np.fft.rfft2(values, axes=axes)
 
 
-@lru_cache(maxsize=256)
-def _mask(n):
-    """2/3 rule: True on the modes with |k| <= n//3."""
-    return _readonly(np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3)
+def inverse(spec, axes=-1):
+    """Real values whose half spectrum along ``axes`` (as in ``forward``) is ``spec``."""
+    return np.fft.irfft(spec, axis=axes) if np.ndim(axes) == 0 else np.fft.irfft2(spec, axes=axes)
 
 
 @lru_cache(maxsize=64)
-def _helmholtz_symbol(n):
-    """1 + k^2 on the 2 pi circle."""
+def table(shape, length=TWO_PI):
+    """Read-only multipliers on the half spectrum of a grid of ``shape`` (d = 1
+    or 2 power-of-two sizes, period ``length`` on each axis), stacked as
+    [M, i k_1 M, ..., i k_d M, i k_1, ..., i k_d]: the 2/3-rule mask M
+    (|k| <= n//3 on every axis), then the dealiased and the plain first
+    derivative along each axis.  Each derivative zeroes the Nyquist mode of
+    its axis, whose multiplier has no real-signal meaning."""
+    d = len(shape)
+    rows = np.zeros((1 + 2 * d,) + shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    rows[0] = 1.0
+    for a, n in enumerate(shape):
+        check_grid(n)
+        k = (np.fft.rfftfreq if a == d - 1 else np.fft.fftfreq)(n, 1.0 / n)
+        k = _along(k, a, d)
+        rows[0] *= np.abs(k) <= n // 3
+        rows[1 + d + a] = 1j * (TWO_PI / length) * np.where(np.abs(k) == n // 2, 0.0, k)
+    rows[1 : 1 + d] = rows[1 + d :] * rows[0]
+    return _readonly(rows)
+
+
+@lru_cache(maxsize=256)
+def _multipliers(n, length, orders):
+    """(i k)^p on the half spectrum for each p in ``orders``, stacked; odd
+    orders zero the Nyquist mode."""
+    if not set(orders) <= {1, 2, 3}:
+        raise ValueError("derivative order must be 1, 2, or 3")
     check_grid(n)
-    k = _wavenumbers(n, TWO_PI)
-    return _readonly(1.0 + k * k)
+    ik = 1j * (TWO_PI / length) * np.fft.rfftfreq(n, 1.0 / n)
+    mult = np.stack([ik**p for p in orders])
+    mult[:, -1] *= [p % 2 == 0 for p in orders]
+    return _readonly(mult)
 
 
-def _along(table, axis, ndim):
-    """A 1-D table shaped to broadcast along ``axis`` of an ndim-array."""
+def _along(tab, axis, ndim):
+    """``tab`` with its last axis moved to broadcast along ``axis`` of an
+    ndim-array; its leading axes are kept in front."""
     shape = [1] * ndim
-    shape[axis] = table.size
-    return table.reshape(shape)
+    shape[axis] = -1
+    return tab.reshape(tab.shape[:-1] + tuple(shape))
 
 
-def forward(values, axis=0):
-    """The transform of ``values`` along ``axis``, for the ``*_from`` functions."""
-    return np.fft.fft(values, axis=axis)
-
-
-def derivative_from(fh, order, length=TWO_PI, axis=0):
-    """Derivative along ``axis`` of the values with ``fh = forward(values, axis)``."""
-    mult = _multiplier(fh.shape[axis], length, order)
-    return np.real(np.fft.ifft(fh * _along(mult, axis, fh.ndim), axis=axis))
-
-
-def dealias_1d_from(fh):
-    """``dealias_1d(values)`` from ``fh = forward(values, 0)``."""
-    return np.real(np.fft.ifft(fh * _along(_mask(fh.shape[0]), 0, fh.ndim), axis=0))
-
-
-def helmholtz_inverse_from(mh):
-    """``helmholtz_inverse(m)`` from ``mh = forward(m)``."""
-    return np.real(np.fft.ifft(mh / _helmholtz_symbol(len(mh))))
-
-
-def helmholtz_inverse(m):
-    """u with u - u_xx = m on the 2 pi circle: multiplier 1/(1 + k^2)."""
-    return helmholtz_inverse_from(np.fft.fft(np.asarray(m, dtype=float)))
-
-
-def _masked_ifft2(fh):
-    """Zero the aliased modes of ``fh`` on both spatial axes (in place) and invert."""
-    fh *= _along(_mask(fh.shape[0]), 0, fh.ndim)
-    fh *= _along(_mask(fh.shape[1]), 1, fh.ndim)
-    return np.real(np.fft.ifft2(fh, axes=(0, 1)))
-
-
-def _dealias_2d_from_ax1(a1):
-    """``dealias_2d(values)`` from ``a1 = np.fft.fft(values, axis=1)``; fft2
-    transforms axis 1 and then axis 0, so finishing along axis 0 matches it."""
-    return _masked_ifft2(np.fft.fft(a1, axis=0))
+def spectral_derivatives(values, orders, length=TWO_PI, axis=0):
+    """Derivatives of each order in ``orders`` (1, 2 or 3) along ``axis``,
+    stacked on a new first axis, from one forward and one inverse transform."""
+    values = np.asarray(values, dtype=float)
+    mult = _along(_multipliers(values.shape[axis], length, tuple(orders)), axis, values.ndim)
+    return inverse(mult * forward(values, axis), axis + 1 if axis >= 0 else axis)
 
 
 def spectral_derivative(values, order, length=TWO_PI, axis=0):
     """Fourier-multiplier derivative along ``axis``."""
-    values = np.asarray(values, dtype=float)
-    _multiplier(values.shape[axis], length, order)  # validate before transforming
-    return derivative_from(np.fft.fft(values, axis=axis), order, length, axis)
-
-
-def jacobian_2d(v, v_d=None):
-    """d[i, j] = partial_i v_j of a 2-D vector field v of shape (2, n0, n1).  A given
-    ``v_d`` receives dealias_2d(v[j]), from the same axis-1 transform as partial_1 v_j."""
-    v = np.asarray(v, dtype=float)
-    d = np.empty((2, 2) + v.shape[1:])
-    for j in range(2):
-        d[0, j] = spectral_derivative(v[j], 1, axis=0)
-        a1 = np.fft.fft(v[j], axis=1)
-        d[1, j] = derivative_from(a1, 1, axis=1)
-        if v_d is not None:
-            v_d[j] = _dealias_2d_from_ax1(a1)
-    return d
+    return spectral_derivatives(values, (order,), length, axis)[0]
 
 
 def dealias_1d(values):
     """Zero modes with |k| > n//3 along axis 0 (2/3 rule)."""
-    return dealias_1d_from(np.fft.fft(np.asarray(values, dtype=float), axis=0))
+    values = np.asarray(values, dtype=float)
+    mask = _along(table(values.shape[:1])[0], 0, values.ndim)
+    return inverse(mask * forward(values, 0), 0)
 
 
 def dealias_2d(values):
-    """2/3-rule mask on both spatial axes of a 2-D field."""
-    return _masked_ifft2(np.fft.fft2(np.asarray(values, dtype=float), axes=(0, 1)))
+    """2/3-rule mask on the last two axes of a 2-D field or a stack of them."""
+    values = np.asarray(values, dtype=float)
+    return inverse(table(values.shape[-2:])[0] * forward(values, PLANE), PLANE)
+
+
+@lru_cache(maxsize=64)
+def helmholtz_symbol(n):
+    """1 + k^2 on the half spectrum of the 2 pi circle."""
+    check_grid(n)
+    k = np.fft.rfftfreq(n, 1.0 / n)
+    return _readonly(1.0 + k * k)
+
+
+def helmholtz_inverse(m):
+    """u with u - u_xx = m on the 2 pi circle: multiplier 1/(1 + k^2)."""
+    m = np.asarray(m, dtype=float)
+    return inverse(forward(m) / helmholtz_symbol(len(m)))
+
+
+def power(spec):
+    """Each mode's share of sum(values**2) (Parseval) for 2-D fields with half
+    spectrum ``spec``; an interior column stands for a +-k pair, so it counts twice."""
+    n0, h = spec.shape[-2:]
+    p = spec.real**2 + spec.imag**2
+    p[..., 1 : h - 1] *= 2.0
+    return p / (n0 * 2 * (h - 1))
+
+
+def tail_fractions(spec):
+    """Energy fraction outside the 2/3 mask (the aliasing alarm gauge) of each
+    2-D field with half spectrum ``spec``, the mean excluded."""
+    n0, h = spec.shape[-2:]
+    p = power(spec)
+    total = p.sum(axis=(-2, -1)) - p[..., 0, 0]
+    tail = (p * (table((n0, 2 * (h - 1)))[0].real == 0.0)).sum(axis=(-2, -1))
+    return np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
 
 
 def spectral_tail_fraction(field):
-    """Energy fraction of a 2-D field outside the 2/3 mask (aliasing alarm gauge)."""
-    field = np.asarray(field, dtype=float)
-    fh = np.abs(np.fft.fft2(field)) ** 2
-    n0, n1 = field.shape
-    # for integer |k|, |k| > n/3 exactly when |k| > n//3: outside the dealiasing mask
-    tail = ~_mask(n0)[:, None] | ~_mask(n1)[None, :]
-    total = fh.sum() - fh[0, 0]
-    if total == 0.0:
-        return 0.0
-    return float(fh[tail].sum() / total)
+    """Energy fraction of a 2-D field outside the 2/3 mask."""
+    return float(tail_fractions(forward(np.asarray(field, dtype=float), PLANE)))

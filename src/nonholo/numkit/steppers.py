@@ -90,8 +90,13 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
         stage, y, k1 = _rk4_floats, y.tolist(), [float(k) for k in k1]
     else:
         stage = _rk4_arrays
-    times = [t0]
-    states = [y.copy()]
+    # one preallocated record array: a list of rows plus its copy would hold
+    # every record twice
+    count = (1 + max(nsteps, 0) // record_every
+             + (final >= 0 and nsteps % record_every != 0) + (not exact))
+    times = np.empty(count)
+    states = np.empty((count,) + np.shape(y))
+    times[0], states[0], k = t0, y, 1
 
     def advance(t, y, h, k1):
         y = stage(rhs, t, y, h, k1)
@@ -107,19 +112,20 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
         y = advance(t, y, dt, k1)
         t = t0 + (i + 1) * dt
         if (i + 1) % record_every == 0 or i == final:
-            times.append(t)
-            states.append(y.copy())
+            times[k], states[k], k = t, y, k + 1
     if not exact:
         if nsteps > 0:
             k1 = rhs(t, y)
-        times.append(t1)
-        states.append(advance(t, y, t1 - t, k1))
-    return np.array(times), np.array(states)
+        times[k], states[k] = t1, advance(t, y, t1 - t, k1)
+    return times, states
 
 
 def integrate(rhs, y0, t_span, stepper, record_every=1, project=None):
     """Integrate rhs over t_span with ``stepper``; returns (times, states) arrays.
 
     See ``march`` for the step schedule, the choice of loop and ``project``.
+    A state that turns non-finite raises ``NonFinite``, so numpy's overflow
+    and invalid-value warnings on the way there are silenced.
     """
-    return march(rhs, y0, t_span, stepper.dt, record_every, project)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return march(rhs, y0, t_span, stepper.dt, record_every, project)

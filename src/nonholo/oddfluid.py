@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from nonholo.errors import NegativeDensity, NonFinite
-from nonholo.numkit import Jet, dealias_2d, integrate, spectral_derivative
-from nonholo.numkit.spectral import check_grid, jacobian_2d
+from nonholo.numkit import Jet, dealias_2d, integrate
+from nonholo.numkit.spectral import PLANE, check_grid, forward, inverse, power, table
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -120,7 +120,10 @@ def _check_state(rho, v, ell=None):
         raise NegativeDensity(f"density fell to {np.min(rho):.3e}")
 
 
-velocity_jacobian = jacobian_2d  # d[i, j] = partial_i v_j
+def velocity_jacobian(v):
+    """d[i, j] = partial_i v_j of a velocity field of shape (2, nx, ny)."""
+    v = np.asarray(v, dtype=float)
+    return inverse(table(v.shape[1:])[3:, None] * forward(v, PLANE), PLANE)
 
 
 def viscous_stress(eta_H, Gamma_H, ell, dv, mode):
@@ -178,60 +181,66 @@ def stress_tensor(state, params, mode="base", dv=None, coefs=None):
     return T
 
 
-def _divergence(f0, f1):
-    """d1 f0 + d2 f1 of the field with components (f0, f1)."""
-    return spectral_derivative(f0, 1, axis=0) + spectral_derivative(f1, 1, axis=1)
+def _rhs(state, params, mode):
+    """(rho_t, v_t) of the base or effective system, (rho_t, v_t, dl_t) of the
+    extended one.
 
-
-def _euler_terms(rho, dv, v_d, T):
-    rho_d = dealias_2d(rho)
-    rho_t = -_divergence(dealias_2d(rho_d * v_d[0]), dealias_2d(rho_d * v_d[1]))
-    v_t = np.empty_like(v_d)
-    for j in range(2):
-        adv = v_d[0] * dealias_2d(dv[0, j]) + v_d[1] * dealias_2d(dv[1, j])
-        divT = _divergence(T[0, j], T[1, j])
-        v_t[j] = dealias_2d(-adv + dealias_2d(divT) / rho_d)
-    return dealias_2d(rho_t), v_t
+    One forward transform of (rho, v[, dl]) gives their dealiased copies and
+    the plain and dealiased velocity Jacobians.  One transform of the stress
+    and the fluxes gives the stress divergence, the mass flux divergence and
+    the deviation source in spectral space; each product is masked once.
+    """
+    extended = mode == "extended"
+    if extended and state.ell is None:
+        raise ValueError("extended dynamics needs the deviation field")
+    rho, v = state.rho, state.v
+    _check_state(rho, v, state.ell)
+    t = table(rho.shape)
+    mask, dgrad = t[0], t[1:3]
+    sh = forward(np.stack([rho, v[0], v[1]] + ([state.ell] if extended else [])), PLANE)
+    nf = len(sh)
+    spec = np.empty((nf + 8,) + sh.shape[1:], dtype=complex)
+    np.multiply(mask, sh, out=spec[:nf])
+    # rows 1-2 of the table give D_i v_j (dealiased), rows 3-4 partial_i v_j
+    np.multiply(t[1:, None], sh[1:3], out=spec[nf:].reshape((4, 2) + sh.shape[1:]))
+    phys = inverse(spec, PLANE)
+    rho_d, v_d = phys[0], phys[1:3]
+    ddv, dv = phys[nf:].reshape((2, 2, 2) + rho.shape)
+    coefs = params.coefficients(rho)
+    T = stress_tensor(state, params, "extended" if extended else "base", dv, coefs)
+    div = dv[0, 0] + dv[1, 1]
+    if mode == "effective":
+        # relaxation-limit pressure shift; the stress is only used dealiased
+        shift = -(8.0 / params.mu) * coefs[2] * div
+        T[0, 0] -= shift
+        T[1, 1] -= shift
+    flux = [T.reshape((4,) + rho.shape), rho_d * v_d]
+    if extended:
+        flux += [phys[3] * v_d, (coefs[2] * div)[None]]
+    fh = forward(np.concatenate(flux), PLANE)
+    parts = [dgrad[0] * fh[0:2] + dgrad[1] * fh[2:4],  # D_i T_ij
+             -(dgrad[0] * fh[4] + dgrad[1] * fh[5])[None]]
+    if extended:
+        source = 2.0 * fh[8] + (params.mu / params.nu) * sh[3]
+        parts.append((-(dgrad[0] * fh[6] + dgrad[1] * fh[7]) - mask * source)[None])
+    out = inverse(np.concatenate(parts), PLANE)
+    v_t = dealias_2d(out[0:2] / rho_d - (v_d[0] * ddv[0] + v_d[1] * ddv[1]))
+    return (out[2], v_t, out[3]) if extended else (out[2], v_t)
 
 
 def base_rhs(state, params):
     """(rho_t, v_t) of the parity-breaking barotropic system."""
-    v_d = np.empty_like(state.v)  # dealiased velocity, from the Jacobian's transforms
-    dv = velocity_jacobian(state.v, v_d)
-    T = stress_tensor(state, params, "base", dv)
-    return _euler_terms(state.rho, dv, v_d, T)
+    return _rhs(state, params, "base")
 
 
 def effective_rhs(state, params):
     """Base system with the relaxation-limit pressure shift -(8/mu) Gamma_hat div v."""
-    v_d = np.empty_like(state.v)
-    dv = velocity_jacobian(state.v, v_d)
-    coefs = params.coefficients(state.rho)
-    T = stress_tensor(state, params, "base", dv, coefs)
-    shift = dealias_2d(-(8.0 / params.mu) * coefs[2] * (dv[0, 0] + dv[1, 1]))
-    T[0, 0] -= shift
-    T[1, 1] -= shift
-    return _euler_terms(state.rho, dv, v_d, T)
+    return _rhs(state, params, "effective")
 
 
 def extended_rhs(state, params):
     """(rho_t, v_t, dl_t) of the system with the relaxing deviation field."""
-    if state.ell is None:
-        raise ValueError("extended dynamics needs the deviation field")
-    v_d = np.empty_like(state.v)
-    dv = velocity_jacobian(state.v, v_d)
-    coefs = params.coefficients(state.rho)
-    T = stress_tensor(state, params, "extended", dv, coefs)
-    rho_t, v_t = _euler_terms(state.rho, dv, v_d, T)
-    dl = dealias_2d(state.ell)
-    div = dv[0, 0] + dv[1, 1]
-    transport = _divergence(dealias_2d(dl * v_d[0]), dealias_2d(dl * v_d[1]))
-    dl_t = dealias_2d(
-        -transport
-        - 2.0 * dealias_2d(coefs[2] * div)
-        - (params.mu / params.nu) * state.ell
-    )
-    return rho_t, v_t, dl_t
+    return _rhs(state, params, "extended")
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +320,7 @@ def _pack(state):
 def _unpack(y, shape, with_ell):
     m = shape[0] * shape[1]
     rho = y[:m].reshape(shape)
-    v = np.stack([y[m : 2 * m].reshape(shape), y[2 * m : 3 * m].reshape(shape)])
+    v = y[m : 3 * m].reshape((2,) + shape)
     ell = y[3 * m : 4 * m].reshape(shape) if with_ell else None
     return FluidState(rho=rho, v=v, ell=ell)
 
@@ -342,10 +351,11 @@ def integrate_fluid(system, state0, params, t_span, stepper, record_every=1):
     times, rows = integrate(rhs, _pack(state0), t_span, stepper, record_every=record_every)
     frames = [_unpack(r, shape, with_ell) for r in rows]
     area = _cell_area(shape)
+    grad = table(shape)[3:]
 
     def div_l2(st):
-        dv = velocity_jacobian(st.v)
-        return float(np.sqrt(np.sum((dv[0, 0] + dv[1, 1]) ** 2) * area))
+        vh = forward(st.v, PLANE)  # Parseval: the divergence norm needs no inverse transform
+        return float(np.sqrt(np.sum(power(grad[0] * vh[0] + grad[1] * vh[1])) * area))
 
     states = np.array(
         [

@@ -21,6 +21,9 @@ from nonholo.skate import integrate_skate, initial_reduced
 from nonholo.trajectory import Trajectory, csv_bytes, svg_bytes
 
 _ARCLENGTH_TOL = 1e-8
+# bound on samples x largest coordinate: the quadrature squares spline speeds of
+# about that size, which must stay finite
+_MAX_EXTENT = 1e150
 
 
 def _cumulative_arclength(dspline, grid):
@@ -51,6 +54,8 @@ class HeadPath:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or len(points) < 4:
             raise ValueError("head path needs at least 4 planar sample points")
+        if not np.max(np.abs(points)) * len(points) < _MAX_EXTENT:
+            raise ValueError(f"coordinates times samples must stay below {_MAX_EXTENT:g}")
         tau = np.linspace(0.0, 1.0, len(points))
         self._spline = CubicSpline(tau, points, axis=0)
         self._dspline = self._spline.derivative()

@@ -4,6 +4,7 @@ import io
 import json
 import contextlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,15 @@ from nonholo.cli import (
 
 
 def run_cli(argv):
+    """Exit code, stdout and stderr of one run; stderr ends with every warning
+    the run raised, as a terminal would show them."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         code = main(argv)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -141,6 +148,17 @@ class TestExitCodes:
         code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
         assert code == EXIT_NUMERICAL and out == ""
         assert error in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("burgers", {"n": 16, "potential": {"modes": [{"kx": 1, "ky": 0, "cos": 1e200}]}}),
+        ("odd-fluid", {"n": 8, "eta_H": 1e300,
+                       "initial": {"vx": {"modes": [{"kx": 0, "ky": 1, "sin": 0.1}]}}}),
+    ], ids=["burgers-cos", "odd-fluid-eta_H"])
+    def test_spectral_blow_up_prints_one_failure_line(self, tmp_path, command, cfg):
+        cfg = {"t_span": [0, 0.01], "dt": 1e-3, **cfg}
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("numerical failure: NonFinite") and err.count("\n") == 1
 
 
     @pytest.mark.parametrize("command, cfg, field", [
@@ -293,7 +311,7 @@ class TestExitCodes:
         cfg = {**self.SNAKE, "path": path}
         code, out, err = run_cli(["snake", "--config", write_config(tmp_path, cfg)])
         assert code == EXIT_CONFIG and out == ""
-        assert repr(field) in err and "Traceback" not in err
+        assert repr(field) in err and "Traceback" not in err and "Warning" not in err
 
     @pytest.mark.parametrize("grid, field", [
         ({"s_grid": {"length": 5e-324, "samples": 5}}, "s_grid"),

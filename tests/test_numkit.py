@@ -84,6 +84,14 @@ class TestSteppers:
         assert times[-1] == 0.0105 and len(times) == 12
         assert abs(states[-1, 0] - np.exp(-0.0105)) < 1e-14
 
+    def test_a_step_far_longer_than_the_span_is_one_short_step(self):
+        # span / dt below 1e-12 leaves no full step, only the shortened one
+        for rhs in (lambda t, y: -y, lambda t, y: [-v for v in y]):
+            times, states = integrate(rhs, [1.0], (0.0, 0.01), Stepper.rk4(1e300),
+                                      record_every=3)
+            assert list(times) == [0.0, 0.01]
+            assert abs(states[-1, 0] - np.exp(-0.01)) < 1e-12
+
     @given(st.floats(-10.0, 10.0), st.floats(1e-3, 2.0), st.floats(1e-3, 0.1))
     @settings(max_examples=50, deadline=None)
     def test_rk4_last_recorded_time_is_t1(self, t0, span, dt):

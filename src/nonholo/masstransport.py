@@ -15,7 +15,6 @@ from nonholo.numkit.spectral import (
     check_grid,
     forward,
     inverse,
-    spectral_tail_fraction,
     table,
     tail_fractions,
 )
@@ -110,7 +109,7 @@ def integrate_hj(f0, t_span, stepper, record_every=1):
     frames = [r.reshape(shape) for r in rows]
     ledger = {
         "mean_f": np.array([float(np.mean(f)) for f in frames]),
-        "tail_fraction": np.array([spectral_tail_fraction(f) for f in frames]),
+        "tail_fraction": np.array([float(tail_fractions(forward(f, PLANE))) for f in frames]),
     }
     states = np.array([[float(f.min()), float(f.max())] for f in frames])
     traj = Trajectory(

@@ -46,9 +46,9 @@ def inverse(spec, axes=-1):
 
 
 @lru_cache(maxsize=64)
-def table(shape, length=TWO_PI):
+def table(shape):
     """Read-only multipliers on the half spectrum of a grid of ``shape`` (d = 1
-    or 2 power-of-two sizes, period ``length`` on each axis), stacked as
+    or 2 power-of-two sizes, period 2 pi on each axis), stacked as
     [M, i k_1 M, ..., i k_d M, i k_1, ..., i k_d]: the 2/3-rule mask M
     (|k| <= n//3 on every axis), then the dealiased and the plain first
     derivative along each axis.  Each derivative zeroes the Nyquist mode of
@@ -61,7 +61,7 @@ def table(shape, length=TWO_PI):
         k = (np.fft.rfftfreq if a == d - 1 else np.fft.fftfreq)(n, 1.0 / n)
         k = _along(k, a, d)
         rows[0] *= np.abs(k) <= n // 3
-        rows[1 + d + a] = 1j * (TWO_PI / length) * np.where(np.abs(k) == n // 2, 0.0, k)
+        rows[1 + d + a] = 1j * np.where(np.abs(k) == n // 2, 0.0, k)
     rows[1 : 1 + d] = rows[1 + d :] * rows[0]
     return _readonly(rows)
 
@@ -144,8 +144,3 @@ def tail_fractions(spec):
     total = p.sum(axis=(-2, -1)) - p[..., 0, 0]
     tail = (p * (table((n0, 2 * (h - 1)))[0].real == 0.0)).sum(axis=(-2, -1))
     return np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
-
-
-def spectral_tail_fraction(field):
-    """Energy fraction of a 2-D field outside the 2/3 mask."""
-    return float(tail_fractions(forward(np.asarray(field, dtype=float), PLANE)))

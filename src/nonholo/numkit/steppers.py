@@ -90,12 +90,11 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
         stage, y, k1 = _rk4_floats, y.tolist(), [float(k) for k in k1]
     else:
         stage = _rk4_arrays
-    # one preallocated record array: a list of rows plus its copy would hold
-    # every record twice
-    count = (1 + max(nsteps, 0) // record_every
-             + (final >= 0 and nsteps % record_every != 0) + (not exact))
-    times = np.empty(count)
-    states = np.empty((count,) + np.shape(y))
+    # records go into one array: nsteps // record_every rows at most, plus the
+    # initial state, the last full step and a shortened last step.  A list of
+    # rows and its copy would hold every record twice.
+    times = np.empty(3 + max(nsteps, 0) // record_every)
+    states = np.empty(times.shape + np.shape(y))
     times[0], states[0], k = t0, y, 1
 
     def advance(t, y, h, k1):
@@ -116,8 +115,8 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
     if not exact:
         if nsteps > 0:
             k1 = rhs(t, y)
-        times[k], states[k] = t1, advance(t, y, t1 - t, k1)
-    return times, states
+        times[k], states[k], k = t1, advance(t, y, t1 - t, k1), k + 1
+    return times[:k], states[:k]
 
 
 def integrate(rhs, y0, t_span, stepper, record_every=1, project=None):

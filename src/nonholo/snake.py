@@ -54,7 +54,9 @@ class HeadPath:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or len(points) < 4:
             raise ValueError("head path needs at least 4 planar sample points")
-        if not np.max(np.abs(points)) * len(points) < _MAX_EXTENT:
+        if not np.all(np.isfinite(points)):
+            raise ValueError("head path sample points must be finite")
+        if np.max(np.abs(points)) * len(points) >= _MAX_EXTENT:
             raise ValueError(f"coordinates times samples must stay below {_MAX_EXTENT:g}")
         tau = np.linspace(0.0, 1.0, len(points))
         self._spline = CubicSpline(tau, points, axis=0)

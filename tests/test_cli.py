@@ -306,6 +306,7 @@ class TestExitCodes:
         ({"kind": "circle", "radius": 1e-300}, "path.radius"),
         ({"kind": "circle", "radius": 1e300}, "path.radius"),
         ({"kind": "line", "length": 5e-324}, "path.length"),
+        ({"kind": "points", "points": [[0, 0], [1, float("nan")], [2, 0], [3, 1]]}, "path.points"),
     ])
     def test_degenerate_head_path_names_the_field(self, tmp_path, path, field):
         cfg = {**self.SNAKE, "path": path}

@@ -14,9 +14,9 @@ from nonholo.masstransport import (
     integrate_burgers,
     integrate_hj,
     potentiality_check,
-    spectral_tail_fraction,
 )
 from nonholo.numkit import Stepper
+from nonholo.numkit.spectral import PLANE, forward, tail_fractions
 
 TWO_PI = 2.0 * np.pi
 
@@ -124,8 +124,8 @@ def test_tail_fraction_flags_rough_fields():
     X, _ = mesh(n)
     smooth = np.cos(X)
     rough = np.cos((n // 2 - 1) * X)
-    assert spectral_tail_fraction(smooth) < 1e-20
-    assert spectral_tail_fraction(rough) > 0.9
+    assert tail_fractions(forward(smooth, PLANE)) < 1e-20
+    assert tail_fractions(forward(rough, PLANE)) > 0.9
 
 
 def test_nonfinite_input_rejected():

@@ -46,6 +46,18 @@ class TestHeadPath:
         with pytest.raises(ValueError):
             HeadPath(np.zeros((10, 3)))
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "finite"),
+        (np.inf, "finite"),
+        (1e300, "below"),
+    ])
+    def test_rejects_unusable_coordinates(self, bad, message):
+        points = np.zeros((6, 2))
+        points[:, 0] = np.arange(6)
+        points[2, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            HeadPath(points)
+
     def test_straight_segment_length_and_points(self):
         hp = HeadPath.from_function(lambda t: np.array([t, 0.0]), (0.0, 10.0), n=200)
         assert abs(hp.length - 10.0) < 1e-7

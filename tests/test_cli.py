@@ -160,7 +160,6 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL and out == ""
         assert err.startswith("numerical failure: NonFinite") and err.count("\n") == 1
 
-
     @pytest.mark.parametrize("command, cfg, field", [
         ("flag", {"kind": "trailer", "n": 1, "points": 2, "tol": float("nan")}, "tol"),
         ("flag", {"kind": "trailer", "n": 1, "points": 2, "tol": True}, "tol"),

@@ -58,6 +58,7 @@ MAX_GRID_1D = 4096  # spectral n of heisenberg, binormal and camassa-holm
 MAX_GRID_2D = 512  # spectral n of odd-fluid and burgers
 MAX_ENTRIES = 256  # Fourier modes of one field; declared checks
 MAX_COUNT = 10**9  # record_every; the size of a Fourier or magnon wavenumber; RK4 steps
+MAX_RECORDED = 10**8  # numbers a run records: records times state width (800 MB of floats)
 
 _CHECKS = {
     "checks": ListOf(Obj({"name": Choice(), "tol": Real(0.0, low=0.0)}), MAX_ENTRIES, []),
@@ -78,8 +79,10 @@ def _fourier(*axes, default=REQUIRED):
 
 
 _OPERATOR = Reals((3,), (3, 3))  # a 3x3 operator by its diagonal or by its rows
+_AXLE = Real(1.0, positive=True)  # car axle span l
+_TRAILERS = Int(0, MAX_DIM, 0)
 _RIG = {
-    "n": Int(0, MAX_DIM, 0),
+    "n": _TRAILERS,
     "controls": Variant({
         "constant": {"u1": Real(0.0), "u2": Real(0.0)},
         "sine": {"a1": Real(0.0), "w1": Real(1.0), "a2": Real(0.0), "w2": Real(1.0)},
@@ -89,32 +92,46 @@ _RIG = {
     "initial": Reals((None,), default=None),
     **_RUN,
 }
+_SKATE_START = {"x": Real(0.0), "y": Real(0.0), "theta": Real(0.0), "v": Real(1.0),
+                "omega": Real(0.0)}
+_SKATE = {"g": Real(0.0, low=0.0), "initial": Obj(_SKATE_START, skate.FIG_INITIAL), **_RUN}
+_FLAG = {
+    "points": Int(1, MAX_SAMPLES, 20),
+    "tol": Real(distributions.DEFAULT_RANK_TOL, positive=True),
+    **_CHECKS,
+}
+_FIELD = _fourier("kx", "ky", default={})
+_FLUID_START = {"rho": _fourier("kx", "ky", default={"mean": 1.0}), "vx": _FIELD, "vy": _FIELD}
+_FLUID = {
+    "n": Int(4, MAX_GRID_2D, 64, pow2=True),
+    "eos": Variant({
+        "isothermal": {"c": Real(1.0, positive=True)},
+        "polytropic2": {"kappa": Real(0.5, positive=True)},
+    }, {"kind": "isothermal"}),
+    "eta_H": Real(0.0),
+    "Gamma_H": Real(0.0),
+    "initial": Obj(_FLUID_START, {}),
+    **_RUN,
+}
 
-SCHEMAS = {command: Obj(fields) for command, fields in {
-    "skate": {
-        "system": Choice("reduced", "lda", "regularized"),
-        "g": Real(0.0, low=0.0),
-        "mu": Real(0.0, low=0.0),
-        "nu": Real(None, positive=True),
-        "alpha": Real(None, positive=True),
-        "initial": Obj({
-            "x": Real(0.0), "y": Real(0.0), "theta": Real(0.0),
-            "v": Real(1.0), "omega": Real(0.0), "lam": Real(0.0),
-        }, skate.FIG_INITIAL),
-        **_RUN,
-    },
-    "trailer": _RIG,
-    "car": {**_RIG, "l": Real(1.0, positive=True)},
-    "flag": {
-        "kind": Choice("unicycle", "trailer", "car", "car-trailer", "goursat", "cartan"),
-        "n": Int(0, MAX_DIM, 0),
-        "s": Int(1, MAX_DIM, 1),
-        "l": Real(1.0, positive=True),
-        "points": Int(1, MAX_SAMPLES, 20),
-        "tol": Real(distributions.DEFAULT_RANK_TOL, positive=True),
-        **_CHECKS,
-    },
-    "snake": {
+SCHEMAS = {
+    "skate": Variant({
+        "reduced": {**_SKATE, "mu": Real(0.0, low=0.0),
+                    "initial": Obj({**_SKATE_START, "lam": Real(0.0)}, skate.FIG_INITIAL)},
+        "lda": _SKATE,
+        "regularized": {**_SKATE, "nu": Real(positive=True), "alpha": Real(positive=True)},
+    }, tag="system"),
+    "trailer": Obj(_RIG),
+    "car": Obj({**_RIG, "l": _AXLE}),
+    "flag": Variant({
+        "unicycle": _FLAG,
+        "trailer": {**_FLAG, "n": _TRAILERS},
+        "car": {**_FLAG, "l": _AXLE},
+        "car-trailer": {**_FLAG, "n": _TRAILERS, "l": _AXLE},
+        "goursat": {**_FLAG, "n": Int(3, MAX_DIM)},
+        "cartan": {**_FLAG, "s": Int(1, MAX_DIM, 1)},
+    }),
+    "snake": Obj({
         "path": Variant({
             "circle": {"radius": Real(1.0, positive=True), "turns": Real(3.0, positive=True),
                        "samples": Int(4, MAX_SAMPLES, 400)},
@@ -125,71 +142,61 @@ SCHEMAS = {command: Obj(fields) for command, fields in {
         "t_grid": Obj({"t0": Real(0.0), "t1": Real(), "samples": Int(3, MAX_SAMPLES, 25)}),
         "s_grid": Obj({"length": Real(positive=True), "samples": Int(3, MAX_SAMPLES, 51)}),
         **_CHECKS,
-    },
-    "sleigh": {
+    }),
+    "sleigh": Obj({
         "v0": Real(),
         "omega0": Real(0.0),
         "L": Real(1.0, positive=True),
         "n_string": Int(2, MAX_SAMPLES, 50),
         **_RUN,
-    },
-    "euler-suslov": {
+    }),
+    "euler-suslov": Obj({
         "flow": Variant({
             "free": {"B": _OPERATOR},
             "constrained": {"A": _OPERATOR, "constraints": Reals((1, 3), (2, 3))},
         }),
         "m0": Reals((3,)),
         **_RUN,
-    },
-    "heisenberg": {
+    }),
+    "heisenberg": Obj({
         "n": Int(4, MAX_GRID_1D, 128, pow2=True),
         "initial": Variant({"magnon": {"k": Int(1, MAX_COUNT, 1), "eps": Real(0.3)}},
                            {"kind": "magnon"}),
         "renormalize": Bool(False),
         **_RUN,
-    },
-    "binormal": {
+    }),
+    "binormal": Obj({
         "n": Int(4, MAX_GRID_1D, 128, pow2=True),
         "radius": Real(1.0, positive=True),
         **_RUN,
-    },
-    "camassa-holm": {
+    }),
+    "camassa-holm": Obj({
         "n": Int(4, MAX_GRID_1D, 256, pow2=True),
         "kappa": Real(0.0),
         "initial": _fourier("k", default={"modes": [{"k": 1, "cos": 0.1}]}),
         **_RUN,
-    },
-    "odd-fluid": {
-        "system": Choice("base", "effective", "extended", default="base"),
-        "n": Int(4, MAX_GRID_2D, 64, pow2=True),
-        "eos": Variant({
-            "isothermal": {"c": Real(1.0, positive=True)},
-            "polytropic2": {"kappa": Real(0.5, positive=True)},
-        }, {"kind": "isothermal"}),
-        "eta_H": Real(0.0),
-        "Gamma_H": Real(0.0),
-        "mu": Real(1.0, positive=True),
-        "nu": Real(1.0, positive=True),
-        "initial": Obj({
-            "rho": _fourier("kx", "ky", default={"mean": 1.0}),
-            **{key: _fourier("kx", "ky", default={}) for key in ("vx", "vy", "ell")},
-        }, {}),
-        **_RUN,
-    },
-    "burgers": {
+    }),
+    "odd-fluid": Variant({
+        "base": _FLUID,
+        "effective": {**_FLUID, "mu": Real(1.0, positive=True)},
+        "extended": {**_FLUID, "mu": Real(1.0, positive=True), "nu": Real(1.0, positive=True),
+                     "initial": Obj({**_FLUID_START, "ell": _FIELD}, {})},
+    }, tag="system", pick="base"),
+    "burgers": Obj({
         "n": Int(4, MAX_GRID_2D, 128, pow2=True),
         "potential": _fourier("kx", "ky"),
         **_RUN,
-    },
-}.items()}
+    }),
+}
 
 
 # ---------------------------------------------------------------------------
 # cross-field checks and shared helpers; runners read configs checked by SCHEMAS
 
 
-def _horizon(cfg):
-    """(t_span, RK4 stepper) of a run whose span and step give at most MAX_COUNT steps."""
+def _horizon(cfg, width, per_step=0):
+    """(t_span, RK4 stepper) of a run of at most MAX_COUNT steps that records at most
+    MAX_RECORDED numbers: ``width`` per record and ``per_step`` at every step."""
     (t0, t1), dt = cfg["t_span"], cfg["dt"]
     if t1 <= t0:
         raise ConfigError("config key 't_span' must be [t0, t1] with t1 > t0")
@@ -198,6 +205,10 @@ def _horizon(cfg):
         raise ConfigError("config keys 't_span' and 'dt' give a non-finite step count")
     if steps > MAX_COUNT:
         raise ConfigError(f"config keys 't_span' and 'dt' give more than {MAX_COUNT} steps")
+    recorded = (steps // cfg["record_every"] + 3) * width + steps * per_step
+    if recorded > MAX_RECORDED:
+        raise ConfigError(f"config keys 't_span', 'dt' and 'record_every' give {recorded:.3g} "
+                          f"recorded numbers, more than {MAX_RECORDED}")
     return (t0, t1), Stepper.rk4(dt)
 
 
@@ -241,19 +252,14 @@ def _traj_summary(traj):
 
 
 def run_skate(cfg, rng):
-    system, initial = cfg["system"], cfg["initial"]
-    nu, alpha = (cfg["nu"], cfg["alpha"]) if system == "regularized" else (None, None)
-    if system == "regularized":
-        if nu is None or alpha is None:
-            raise ConfigError("config keys 'nu' and 'alpha' are needed by the regularized skate")
-        y0 = skate.initial_full(**{k: v for k, v in initial.items() if k != "lam"})
-    else:
-        y0 = skate.initial_reduced(**initial)
-        if system == "lda":
-            y0 = y0[:5]
+    system = cfg["system"]
+    start = skate.initial_full if system == "regularized" else skate.initial_reduced
+    y0 = start(**cfg["initial"])
+    if system == "lda":
+        y0 = y0[:5]
     traj = skate.integrate_skate(
-        system, y0, cfg["g"], *_horizon(cfg),
-        mu=cfg["mu"], nu=nu, alpha=alpha, record_every=cfg["record_every"],
+        system, y0, cfg["g"], *_horizon(cfg, len(y0)), record_every=cfg["record_every"],
+        **{key: cfg[key] for key in ("mu", "nu", "alpha") if key in cfg},
     )
     values = {"energy_rel_drift": _rel_drift(traj.ledger["energy"])}
     if "phi" in traj.ledger:
@@ -295,28 +301,22 @@ def _run_rig(name, cfg, rng):
             raise ConfigError(f"config key 'initial' must have {want} components")
     lengths = {"l": cfg["l"]} if kind == "car" else {}
     traj = driving.simulate_rig(
-        kind, n, _control(cfg["controls"]), q0, *_horizon(cfg), **lengths,
+        kind, n, _control(cfg["controls"]), q0, *_horizon(cfg, len(q0)), **lengths,
         record_every=cfg["record_every"],
     )
     values = {"residual_max": float(np.max(traj.ledger["residual_max"]))}
     return _traj_summary(traj), values, _traj_artifacts(traj, f"{name}-n{n}", f"{name} path")
 
 
-def _flag_distribution(cfg):
-    kind, n, l = cfg["kind"], cfg["n"], cfg["l"]
-    if kind == "unicycle":
-        return distributions.unicycle_fields(), 3
-    if kind == "trailer":
-        return distributions.trailer_fields(n), n + 3
-    if kind == "car":
-        return distributions.car_fields(l), 4
-    if kind == "car-trailer":
-        return distributions.car_trailer_fields(n, l), n + 4
-    if kind == "goursat":
-        if n < 3:
-            raise ConfigError("config key 'n' must be >= 3 for the goursat normal form")
-        return distributions.goursat_normal_form(n), n
-    return distributions.cartan_distribution(cfg["s"]), cfg["s"] + 2
+# each flag kind's distribution, built from the kind's keys among n, l and s
+_FLAG_FIELDS = {
+    "unicycle": distributions.unicycle_fields,
+    "trailer": distributions.trailer_fields,
+    "car": distributions.car_fields,
+    "car-trailer": distributions.car_trailer_fields,
+    "goursat": distributions.goursat_normal_form,
+    "cartan": distributions.cartan_distribution,
+}
 
 
 def generic_point(kind, dim, rng):
@@ -342,8 +342,9 @@ def generic_point(kind, dim, rng):
 
 
 def run_flag(cfg, rng):
-    dist, dim = _flag_distribution(cfg)
     kind, points = cfg["kind"], cfg["points"]
+    dist = _FLAG_FIELDS[kind](**{key: cfg[key] for key in ("n", "l", "s") if key in cfg})
+    dim = dist.dim
     reports = []
     try:
         for _ in range(points):
@@ -428,8 +429,10 @@ def run_sleigh(cfg, rng):
     v0, omega0, L, n_string = cfg["v0"], cfg["omega0"], cfg["L"], cfg["n_string"]
     if v0 == 0:
         raise ConfigError("config key 'v0' must be nonzero: the head must move to drag the string")
+    # records: string frames at each record, the lda track (5 numbers) at every step
     traj, frames = snake.sleigh_with_string(
-        v0, omega0, L, *_horizon(cfg), n_string=n_string, record_every=cfg["record_every"],
+        v0, omega0, L, *_horizon(cfg, 2 * n_string, per_step=5), n_string=n_string,
+        record_every=cfg["record_every"],
     )
     values = {"energy_rel_drift": _rel_drift(traj.ledger["energy"])}
     if omega0 != 0.0:
@@ -456,7 +459,7 @@ def run_euler_suslov(cfg, rng):
         flow = ("free", np.asarray(spec["B"]))
     else:
         flow = ("constrained", np.asarray(spec["A"]), [np.asarray(a) for a in spec["constraints"]])
-    traj = liealg.integrate_lie(flow, np.asarray(cfg["m0"]), *_horizon(cfg),
+    traj = liealg.integrate_lie(flow, np.asarray(cfg["m0"]), *_horizon(cfg, 3),
                                 record_every=cfg["record_every"])
     values = {
         "energy_rel_drift": _rel_drift(traj.ledger["energy"]),
@@ -481,7 +484,8 @@ def run_heisenberg(cfg, rng):
     n, initial = cfg["n"], cfg["initial"]
     L0 = loopgroup.magnon(n, initial["k"], initial["eps"])
     traj = loopgroup.integrate_ll(
-        L0, *_horizon(cfg), renormalize=cfg["renormalize"], record_every=cfg["record_every"],
+        L0, *_horizon(cfg, L0.size), renormalize=cfg["renormalize"],
+        record_every=cfg["record_every"],
     )
     values = {
         "energy_rel_drift": _rel_drift(traj.ledger["energy"]),
@@ -497,7 +501,8 @@ def run_heisenberg(cfg, rng):
 def run_binormal(cfg, rng):
     n = cfg["n"]
     gamma0 = loopgroup.circle_curve(n, cfg["radius"])
-    traj = loopgroup.integrate_binormal(gamma0, *_horizon(cfg), record_every=cfg["record_every"])
+    traj = loopgroup.integrate_binormal(gamma0, *_horizon(cfg, gamma0.size),
+                                        record_every=cfg["record_every"])
     values = {"length_rel_drift": _rel_drift(traj.ledger["length"])}
     return _grid_summary(traj, n=n), values, [("filament.csv", trajectory.to_csv(traj), "csv")]
 
@@ -505,7 +510,8 @@ def run_binormal(cfg, rng):
 def run_camassa_holm(cfg, rng):
     n, kappa = cfg["n"], cfg["kappa"]
     m0 = camassaholm.helmholtz_apply(_sampled(n, cfg["initial"], "k"))
-    traj = camassaholm.integrate_ch(m0, kappa, *_horizon(cfg), record_every=cfg["record_every"])
+    traj = camassaholm.integrate_ch(m0, kappa, *_horizon(cfg, m0.size),
+                                    record_every=cfg["record_every"])
     values = {
         "mean_abs": float(np.max(np.abs(traj.ledger["mean_u"]))),
         "energy_rel_drift": _rel_drift(traj.ledger["energy"]),
@@ -521,16 +527,15 @@ def run_odd_fluid(cfg, rng):
         eos=(eos["kind"], eos["c"] if eos["kind"] == "isothermal" else eos["kappa"]),
         eta_H=lambda rho: eta + 0.0 * rho,
         Gamma_H=lambda rho: gamma + 0.0 * rho,
-        mu=cfg["mu"],
-        nu=cfg["nu"],
+        **{key: cfg[key] for key in ("mu", "nu") if key in cfg},
     )
-    rho, vx, vy, ell = (_sampled(n, cfg["initial"][key], "kx", "ky")
-                        for key in ("rho", "vx", "vy", "ell"))
-    if np.min(rho) <= oddfluid.DENSITY_FLOOR:
+    start = {key: _sampled(n, spec, "kx", "ky") for key, spec in cfg["initial"].items()}
+    if np.min(start["rho"]) <= oddfluid.DENSITY_FLOOR:
         raise ConfigError("config key 'initial.rho' must stay positive")
-    state0 = oddfluid.FluidState(rho=rho, v=np.stack([vx, vy]),
-                                 ell=ell if system == "extended" else None)
-    traj, frames = oddfluid.integrate_fluid(system, state0, params, *_horizon(cfg),
+    state0 = oddfluid.FluidState(rho=start["rho"], v=np.stack([start["vx"], start["vy"]]),
+                                 ell=start.get("ell"))
+    traj, frames = oddfluid.integrate_fluid(system, state0, params,
+                                            *_horizon(cfg, n * n * len(start)),
                                             record_every=cfg["record_every"])
     values = {"energy_rel_drift": _rel_drift(traj.ledger["H"])}
     if system == "extended":
@@ -552,7 +557,7 @@ def run_burgers(cfg, rng):
     n = cfg["n"]
     f0 = _sampled(n, cfg["potential"], "kx", "ky")
     u0 = masstransport.gradient(f0)
-    t_span, stepper = _horizon(cfg)
+    t_span, stepper = _horizon(cfg, f0.size + u0.size)  # u and f are recorded alike
     re = cfg["record_every"]
     traj, u_frames = masstransport.integrate_burgers(u0, t_span, stepper, record_every=re)
     _, f_frames = masstransport.integrate_hj(f0, t_span, stepper, record_every=re)
@@ -589,7 +594,8 @@ RUNNERS = {
 
 
 _COLUMN_HELP = {
-    "skate": "CSV columns: t, x, y, theta, omega, rho[, lam | xdot, ydot, thetadot], energy[, phi]",
+    "skate": "CSV columns: t, x, y, theta, omega, rho[, lam], energy (reduced, lda) or "
+             "t, x, y, theta, xdot, ydot, thetadot, energy, phi (regularized)",
     "trailer": "CSV columns: t, x, y, theta_0..theta_n, residual_max",
     "car": "CSV columns: t, x, y, theta_0..theta_n, phi, residual_max",
     "flag": "JSON output: per-point flag dimensions and the Goursat verdict",

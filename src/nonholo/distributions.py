@@ -139,8 +139,9 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
     accumulated list is reduced to a pointwise frame (deterministic greedy
     selection in creation order), which spans the same sheaf near a generic
     point, and only frame pairs not bracketed at an earlier level are
-    bracketed.  Stops early once the chart dimension is reached or the
-    dimensions stagnate.
+    bracketed.  Stops once the chart dimension is reached, the dimensions
+    stagnate or the jets' degree budget is spent (each level uses one
+    degree; ranks relative to a large ``tol`` can fall as vectors are added).
 
     The jets need a product table of C(2n + b, b) index pairs for chart
     dimension n and degree budget b (n - 2 for rank-2 distributions); above
@@ -154,7 +155,6 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
 
     dims0 = numerical_rank([g.at(point) for g in dist.generators], tol)
     budget = n - dims0 if max_depth is None else min(max_depth, n)
-    limit = n if max_depth is None else max_depth
 
     check_table_size(n, budget)  # before the coefficient arrays, which grow as fast
     jets = [g.jet(point, budget) for g in dist.generators]
@@ -163,7 +163,7 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
     dims = [dims0]
     depth = 0
 
-    while depth < limit and dims[-1] < n:
+    while depth < budget and dims[-1] < n:
         depth += 1
         frame_idx = _greedy_frame(values, tol)
         for a, i in enumerate(frame_idx):
@@ -197,10 +197,22 @@ def _greedy_frame(values, tol):
 
 
 def unicycle_fields():
-    """Rotation and heading-drive fields on R^2 x S^1, chart (x, y, theta0)."""
-    rot = VectorField(3, lambda q: [0.0, 0.0, 1.0], "rotate")
-    drv = VectorField(3, lambda q: [cos(q[2]), sin(q[2]), 0.0], "head")
-    return Distribution([rot, drv])
+    """Rotation and heading-drive fields on R^2 x S^1, chart (x, y, theta0): no trailers."""
+    return trailer_fields(0)
+
+
+def _tow(q, n, out):
+    """Fill out[0..n+1] with the velocity of a unit-speed head at angle q[2 + n]
+    towing n trailers: iterate the prolongation downward, each relative angle
+    converting speed into rotation of the next trailer."""
+    v = 1.0
+    for k in range(n, 0, -1):
+        delta = q[2 + k] - q[1 + k]
+        out[1 + k] = v * sin(delta)
+        v = v * cos(delta)
+    out[0] = v * cos(q[2])
+    out[1] = v * sin(q[2])
+    return out
 
 
 def trailer_fields(n):
@@ -213,27 +225,8 @@ def trailer_fields(n):
     if n < 0:
         raise ValueError("trailer count must be >= 0")
     dim = n + 3
-
-    def tau1(q):
-        out = [0.0] * dim
-        out[dim - 1] = 1.0
-        return out
-
-    def tau2(q):
-        # iterate the prolongation downward: head speed 1, each relative
-        # angle converts speed into rotation of the next trailer
-        out = [0.0] * dim
-        v = 1.0
-        for k in range(n, 0, -1):
-            delta = q[2 + k] - q[1 + k]
-            out[1 + k] = v * sin(delta)
-            v = v * cos(delta)
-        out[0] = v * cos(q[2])
-        out[1] = v * sin(q[2])
-        return out
-
-    f1 = VectorField(dim, tau1, f"tau{n}_1")
-    f2 = VectorField(dim, tau2, f"tau{n}_2")
+    f1 = VectorField(dim, lambda q: [0.0] * (dim - 1) + [1.0], f"tau{n}_1")
+    f2 = VectorField(dim, lambda q: _tow(q, n, [0.0] * dim), f"tau{n}_2")
     return Distribution([f1, f2])
 
 
@@ -246,17 +239,8 @@ def _check_steering(phi_value):
 
 
 def car_fields(l=1.0):
-    """Steer and drive fields of a car, chart (x, y, theta, phi)."""
-    if l <= 0:
-        raise ValueError("axle span l must be positive")
-
-    steer = VectorField(4, lambda q: [0.0, 0.0, 0.0, 1.0], "steer")
-
-    def drive(q):
-        _check_steering(scalar_value(q[3]))
-        return [cos(q[2]), sin(q[2]), tan(q[3]) * (1.0 / l), 0.0]
-
-    return Distribution([steer, VectorField(4, drive, "drive")])
+    """Steer and drive fields of a car, chart (x, y, theta, phi): no trailers."""
+    return car_trailer_fields(0, l)
 
 
 def car_turn_park(l=1.0):
@@ -295,15 +279,8 @@ def car_trailer_fields(n, l=1.0):
 
     def drive(q):
         _check_steering(scalar_value(q[dim - 1]))
-        out = [0.0] * dim
+        out = _tow(q, n, [0.0] * dim)
         out[2 + n] = tan(q[dim - 1]) * (1.0 / l)
-        v = 1.0
-        for k in range(n, 0, -1):
-            delta = q[2 + k] - q[1 + k]
-            out[1 + k] = v * sin(delta)
-            v = v * cos(delta)
-        out[0] = v * cos(q[2])
-        out[1] = v * sin(q[2])
         return out
 
     return Distribution([steer, VectorField(dim, drive, "drive")])

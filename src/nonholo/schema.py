@@ -2,10 +2,12 @@
 
 A schema is a tree of fields.  ``Obj({key: field, ...}).read(cfg)`` checks a
 parsed JSON config against it, fills the defaults and returns plain Python
-values (floats, ints, bools, strings, lists, dicts).  A malformed value
-raises :class:`ConfigError` whose message starts ``config key '<path>'`` with
-the full dotted path, list indices included (``'initial.rho.modes.0.k'``);
-a key or value longer than ``SHOWN_CHARS`` characters is shown cut.
+values (floats, ints, bools, strings, lists, dicts); a ``Variant`` reads the
+same way, with its keys declared per value of a tag key such as ``kind``.  A
+malformed value raises :class:`ConfigError` whose message starts ``config key
+'<path>'`` with the full dotted path, list indices included
+(``'initial.rho.modes.0.k'``); a key or value longer than ``SHOWN_CHARS``
+characters is shown cut.
 
 A field's ``default`` is ``REQUIRED`` (the key must be given), ``None`` (the
 key is optional and reads as ``None`` when absent) or a raw JSON value that is
@@ -141,20 +143,20 @@ def _object(value, path):
         _fail(path, "must be an object")
 
 
+def _read_key(key, field, value, path):
+    where = _join(path, key)
+    if key in value:
+        return field.read(value[key], where)
+    if field.default is REQUIRED:
+        _fail(where, "is missing")
+    return None if field.default is None else field.read(field.default, where)
+
+
 def _read_fields(fields, value, path):
     for key in value:
         if key not in fields:
             _fail(_join(path, key), "is unknown")
-    out = {}
-    for key, field in fields.items():
-        where = _join(path, key)
-        if key in value:
-            out[key] = field.read(value[key], where)
-        elif field.default is REQUIRED:
-            _fail(where, "is missing")
-        else:
-            out[key] = None if field.default is None else field.read(field.default, where)
-    return out
+    return {key: _read_key(key, field, value, path) for key, field in fields.items()}
 
 
 class Obj(Field):
@@ -170,19 +172,20 @@ class Obj(Field):
 
 
 class Variant(Field):
-    """An object whose string ``kind`` picks its other keys: ``{kind: {key: field}}``."""
+    """An object whose string ``tag`` key picks its other keys: ``{tag value: {key: field}}``.
 
-    def __init__(self, variants, default=REQUIRED):
+    The tag is required unless ``pick`` names the variant of a config without it.
+    """
+
+    def __init__(self, variants, default=REQUIRED, tag="kind", pick=REQUIRED):
         super().__init__(default)
-        self.kind = Choice(*variants)
-        self.variants = {name: {"kind": self.kind, **fields} for name, fields in variants.items()}
+        self.tag, self.choice = tag, Choice(*variants, default=pick)
+        self.variants = {name: {tag: self.choice, **fields} for name, fields in variants.items()}
 
-    def read(self, value, path):
+    def read(self, value, path=""):
         _object(value, path)
-        if "kind" not in value:
-            _fail(_join(path, "kind"), "is missing")
-        kind = self.kind.read(value["kind"], _join(path, "kind"))
-        return _read_fields(self.variants[kind], value, path)
+        name = _read_key(self.tag, self.choice, value, path)
+        return _read_fields(self.variants[name], value, path)
 
 
 class ListOf(Field):

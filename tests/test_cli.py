@@ -333,6 +333,54 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert f"config key {field!r}" in err and "500000" in err
 
+    # keys that a kind or system does not read: each was once accepted and ignored
+    UNREAD = [
+        *[("flag", "kind", kind, key) for kind, keys in {
+            "unicycle": ["n", "s", "l"], "trailer": ["s", "l"], "car": ["n", "s"],
+            "car-trailer": ["s"], "goursat": ["s", "l"], "cartan": ["n", "l"]}.items()
+          for key in keys],
+        *[("skate", "system", system, key) for system, keys in {
+            "reduced": ["nu", "alpha"], "lda": ["mu", "nu", "alpha", "initial.lam"],
+            "regularized": ["mu", "initial.lam"]}.items() for key in keys],
+        *[("odd-fluid", "system", system, key) for system, keys in {
+            "base": ["mu", "nu", "initial.ell"], "effective": ["nu", "initial.ell"]}.items()
+          for key in keys],
+    ]
+    VALID = {"flag": {"points": 1}, "skate": RUN, "odd-fluid": {**RUN, "n": 8}}
+    NEEDED = {"goursat": {"n": 3}, "regularized": {"nu": 0.1, "alpha": 0.1}}
+    SAMPLE = {"n": 2, "s": 2, "l": 2.0, "mu": 1.0, "nu": 0.1, "alpha": 0.1,
+              "initial.lam": {"initial": {"lam": 0.5}},
+              "initial.ell": {"initial": {"ell": {"modes": []}}}}
+
+    @pytest.mark.parametrize("command, tag, name, key", UNREAD,
+                             ids=[f"{c}-{n}-{k}" for c, _, n, k in UNREAD])
+    def test_keys_the_variant_does_not_read_are_unknown(self, tmp_path, command, tag, name, key):
+        cfg = {**self.VALID[command], tag: name, **self.NEEDED.get(name, {})}
+        code, _, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_OK, err
+        extra = self.SAMPLE[key] if "." in key else {key: self.SAMPLE[key]}
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, {**cfg, **extra})])
+        assert code == EXIT_CONFIG and out == ""
+        assert err == f"config error: config key {key!r} is unknown\n"
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("skate", {"system": "reduced", "g": 1.0, "t_span": [0, 1e6], "dt": 1e-3,
+                   "record_every": 1}),
+        # the sleigh keeps its track at every step, whatever record_every is
+        ("sleigh", {"v0": 1.0, "t_span": [0, 1e5], "dt": 1e-3, "record_every": 10**6}),
+        ("odd-fluid", {"system": "extended", "n": 512, "t_span": [0, 1], "dt": 1e-3}),
+    ])
+    def test_record_budget_names_t_span_dt_and_record_every(self, tmp_path, monkeypatch,
+                                                            command, cfg):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("nonholo.numkit.steppers.march", refuse)
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG and out == ""
+        assert all(repr(key) in err for key in ("t_span", "dt", "record_every"))
+        assert "recorded numbers" in err and "Traceback" not in err
+
     GRID = {**RUN, "n": 8}
 
     @pytest.mark.parametrize("command, cfg, field", [

@@ -2,11 +2,14 @@
 
 The base configs and the key paths come from walking each subcommand's table
 in ``cli.SCHEMAS``: one short, valid base per subcommand, plus one per option
-of every string choice and ``kind`` variant.  Each example takes a base and
-replaces a few of its values (nested ones too) with finite extremes, zeros,
-negatives, NaN/±Infinity, booleans, strings and other JSON values.  Whatever
-the values, ``main`` must return one of the documented exit codes: 0 success,
-1 config error, 2 numerical failure, 3 check failed.
+of every string choice, the tag of each variant included.  Each example takes
+a base and replaces a few of its values (nested ones too) with finite
+extremes, zeros, negatives, NaN/±Infinity, booleans, strings and other JSON
+values.  Whatever the values, ``main`` must return one of the documented exit
+codes: 0 success, 1 config error, 2 numerical failure, 3 check failed.
+
+The same bases feed a guard: each run must read every top-level key its
+table declares, so no declared key is accepted and then ignored.
 
 Runs stay short.  Every count in a base is clamped to 3 (spectral grids take
 their least size, 4) and every horizon is [0, 0.01].  A tiny positive ``dt``
@@ -27,8 +30,9 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
+import pytest
 
-from nonholo.cli import SCHEMAS, main
+from nonholo.cli import RUNNERS, SCHEMAS, _evaluate_checks, main
 from nonholo.schema import Bool, Choice, Int, ListOf, Obj, Reals, Variant
 
 MAX = sys.float_info.max
@@ -56,10 +60,10 @@ horizon_values = st.sampled_from([
 ])
 HORIZON_KEYS = [("t_span",), ("t_span", 0), ("t_span", 1), ("dt",)]
 
-# values the tables cannot supply: a short horizon, the optional regularized
-# skate parameters, piecewise controls with one value per interval, a snake
-# head path that its few samples resolve and that starts a string length in,
-# and a check that exists
+# values the tables cannot supply: a short horizon, small regularized skate
+# parameters, piecewise controls with one value per interval, a snake head
+# path that its few samples resolve and that starts a string length in, and a
+# check that exists
 GIVEN = {
     ("t_span",): [0.0, 0.01],
     ("path", "turns"): 1.0,
@@ -73,20 +77,25 @@ GIVEN = {
 }
 
 
+def _tables(field):
+    """The key tables of an object, or one per variant of a tagged one."""
+    return list(field.variants.values()) if isinstance(field, Variant) else [field.fields]
+
+
 def _fields(field):
-    """The keys of an object, or of all variants of a ``kind``-tagged one."""
-    if isinstance(field, Obj):
-        return field.fields
-    return {key: sub for fields in field.variants.values() for key, sub in fields.items()}
+    """The keys of an object, or of all variants of a tagged one."""
+    return {key: sub for fields in _tables(field) for key, sub in fields.items()}
 
 
 def _walk(field, path=()):
-    """Yield (key path, its string options or None) for every key below ``field``."""
+    """Yield (key path, its string options or None) for every key below ``field``;
+    a key declared in several variants comes once per variant."""
     if isinstance(field, (Obj, Variant)):
-        for key, sub in _fields(field).items():
-            options = getattr(sub, "options", None) or None
-            yield path + (key,), options
-            yield from _walk(sub, path + (key,))
+        for fields in _tables(field):
+            for key, sub in fields.items():
+                options = getattr(sub, "options", None) or None
+                yield path + (key,), options
+                yield from _walk(sub, path + (key,))
     elif isinstance(field, (ListOf, Reals)):
         yield path + (0,), None
         if isinstance(field, ListOf):
@@ -102,8 +111,9 @@ def _base(field, picks, path=()):
     if isinstance(field, (Obj, Variant)):
         given = field.default if isinstance(field.default, dict) else {}
         if isinstance(field, Variant):
-            kind = picks.get(path + ("kind",), given.get("kind", next(iter(field.variants))))
-            given, fields = {**given, "kind": kind}, field.variants[kind]
+            tag = field.tag
+            kind = picks.get(path + (tag,), given.get(tag, next(iter(field.variants))))
+            given, fields = {**given, tag: kind}, field.variants[kind]
         else:
             fields = field.fields
         return {key: given[key] if key in given else _base(sub, picks, path + (key,))
@@ -143,7 +153,7 @@ KEYS = {command: list(dict.fromkeys(path for path, _ in _walk(schema)
 
 def _cases(command):
     overrides = st.lists(st.tuples(st.sampled_from(KEYS[command]), values), max_size=3)
-    if "t_span" in SCHEMAS[command].fields:
+    if "t_span" in _fields(SCHEMAS[command]):
         overrides = st.tuples(overrides, st.lists(
             st.tuples(st.sampled_from(HORIZON_KEYS), horizon_values), max_size=2,
         )).map(lambda pair: pair[0] + pair[1])
@@ -174,6 +184,28 @@ def test_every_subcommand_has_a_valid_base():
             assert _run(command, cfg) in (0, 3), (command, cfg)
 
 
+class _Reads(dict):
+    """A config that records which of its keys were read."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("command, cfg", [(command, cfg) for command, bases in BASES.items()
+                                          for cfg in bases])
+def test_every_declared_key_is_read(command, cfg):
+    # a declared key that the run never reads would be accepted and ignored
+    cfg = _Reads(SCHEMAS[command].read(cfg))
+    _, values, _ = RUNNERS[command](cfg, np.random.default_rng(0))
+    _evaluate_checks(cfg["checks"], values)
+    assert set(cfg) - cfg.read == set()
+
+
 def _run(command, cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
@@ -191,6 +223,7 @@ def _run(command, cfg):
 @settings(max_examples=600, deadline=None)
 @given(case=st.one_of(*(_cases(command) for command in SCHEMAS)))
 @example(case=("skate", 2, [(("system",), "regularized"), (("nu",), 1e-17), (("alpha",), 0.01)]))
+@example(case=("flag", 2, [(("tol",), 0.5)]))  # ranks that fall as vectors are added
 @example(case=("snake", 2, [(("path", "points"), [[0, 0], [0, 0], [0, 0], [0, 0]])]))
 @example(case=("snake", 0, [(("path", "radius"), 1e-300)]))
 @example(case=("snake", 0, [(("t_grid", "samples"), 10**20)]))

@@ -135,12 +135,39 @@ def test_jacobi_identity_on_nested_brackets(coords, phi):
 # named systems: pointwise formulas
 
 
+def assert_same_jets(dists, closed_form, points, deg=3):
+    """Every distribution's generator jets equal the closed-form fields' jets bit for bit."""
+    for q in points:
+        for dist in dists:
+            for a, b in zip(dist.generators, closed_form):
+                assert np.array_equal(field_jet(a, q, deg).coef, field_jet(b, q, deg).coef)
+
+
 def test_trailer_zero_matches_unicycle():
-    d = trailer_fields(0)
-    u = unicycle_fields()
-    for q in rand_points(np.random.default_rng(0), 3, 5):
-        for a, b in zip(d.generators, u.generators):
-            assert np.allclose(a.at(q), b.at(q)[[0, 1, 2]], atol=1e-14)
+    # the unicycle is the convoy with no trailers
+    closed_form = [VectorField(3, lambda q: [0.0, 0.0, 1.0]),
+                   VectorField(3, lambda q: [jets.cos(q[2]), jets.sin(q[2]), 0.0])]
+    assert_same_jets([trailer_fields(0), unicycle_fields()], closed_form,
+                     rand_points(np.random.default_rng(0), 3, 5))
+
+
+def test_car_trailer_zero_matches_car():
+    # the car is the car convoy with no trailers
+    l = 1.5
+    closed_form = [VectorField(4, lambda q: [0.0, 0.0, 0.0, 1.0]),
+                   VectorField(4, lambda q: [jets.cos(q[2]), jets.sin(q[2]),
+                                             jets.tan(q[3]) * (1.0 / l), 0.0])]
+    assert_same_jets([car_trailer_fields(0, l), car_fields(l)], closed_form,
+                     rand_points(np.random.default_rng(1), 4, 5, scale=0.7))
+
+
+def test_large_tol_stops_at_the_jet_degree_budget():
+    # ranks relative to a large tol fall as vectors are added ([2, 3, 2] here):
+    # the levels stop when the jets' degrees are spent instead of differentiating
+    # a degree-0 jet
+    for q in rand_points(np.random.default_rng(2), 4, 5, scale=0.7):
+        rep = derived_flag(car_fields(1.0), q, tol=0.5)
+        assert rep.depth_used <= 2 and len(rep.dims) == rep.depth_used + 1
 
 
 def test_trailer_one_matches_hand_formula():

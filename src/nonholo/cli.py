@@ -217,10 +217,13 @@ def _sampled(n, spec, *axes):
     x = np.arange(n) * (2.0 * np.pi / n)
     grid = np.meshgrid(*[x] * len(axes), indexing="ij")
     f = spec["mean"] * np.ones(grid[0].shape)
-    for mode in spec["modes"]:
-        phase = sum((mode[a] * X for a, X in zip(axes[1:], grid[1:])), mode[axes[0]] * grid[0])
-        f += mode["cos"] * np.cos(phase)
-        f += mode["sin"] * np.sin(phase)
+    # amplitudes near the float maximum may overflow here; the runner's
+    # non-finite check reports that as a numerical failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode in spec["modes"]:
+            phase = sum((mode[a] * X for a, X in zip(axes[1:], grid[1:])), mode[axes[0]] * grid[0])
+            f += mode["cos"] * np.cos(phase)
+            f += mode["sin"] * np.sin(phase)
     return f
 
 

@@ -36,13 +36,14 @@ def _readonly(a):
 
 
 def forward(values, axes=-1):
-    """Half spectrum of real ``values`` along one axis, or over the pair ``PLANE``."""
-    return np.fft.rfft(values, axis=axes) if np.ndim(axes) == 0 else np.fft.rfft2(values, axes=axes)
+    """Half spectrum of real ``values`` along one axis (an int), or over a
+    tuple of two axes such as ``PLANE``."""
+    return np.fft.rfft2(values, axes=axes) if isinstance(axes, tuple) else np.fft.rfft(values, axis=axes)
 
 
 def inverse(spec, axes=-1):
     """Real values whose half spectrum along ``axes`` (as in ``forward``) is ``spec``."""
-    return np.fft.irfft(spec, axis=axes) if np.ndim(axes) == 0 else np.fft.irfft2(spec, axes=axes)
+    return np.fft.irfft2(spec, axes=axes) if isinstance(axes, tuple) else np.fft.irfft(spec, axis=axes)
 
 
 @lru_cache(maxsize=64)

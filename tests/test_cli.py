@@ -153,8 +153,12 @@ class TestExitCodes:
         ("burgers", {"n": 16, "potential": {"modes": [{"kx": 1, "ky": 0, "cos": 1e200}]}}),
         ("odd-fluid", {"n": 8, "eta_H": 1e300,
                        "initial": {"vx": {"modes": [{"kx": 0, "ky": 1, "sin": 0.1}]}}}),
-    ], ids=["burgers-cos", "odd-fluid-eta_H"])
+        # finite amplitudes whose sum overflows while the initial field is sampled
+        ("odd-fluid", {"n": 8, "initial": {"vx": {"modes": [
+            {"kx": 1, "ky": 0, "cos": 1.7e308, "sin": 1.7e308}]}}}),
+    ], ids=["burgers-cos", "odd-fluid-eta_H", "odd-fluid-initial-overflow"])
     def test_spectral_blow_up_prints_one_failure_line(self, tmp_path, command, cfg):
+        # run_cli appends each warning raised to stderr, so one line means none was
         cfg = {"t_span": [0, 0.01], "dt": 1e-3, **cfg}
         code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
         assert code == EXIT_NUMERICAL and out == ""

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonholo.errors import DomainExceeded
 from nonholo.numkit import Stepper
 from nonholo.skate import fit_circle
 from nonholo.snake import (
+    _ARCLENGTH_TOL,
     HeadPath,
+    _cumulative_arclength,
+    _speed,
     collinearity_residual,
     frame_arclength,
     frame_to_csv,
@@ -75,6 +80,54 @@ class TestHeadPath:
         hp = _circle_path()
         t = hp.tangent(np.linspace(0.0, hp.length, 50))
         assert np.abs(np.linalg.norm(t, axis=1) - 1.0).max() < 1e-9
+
+
+def _spline_derivative(points):
+    from scipy.interpolate import CubicSpline
+
+    tau = np.linspace(0.0, 1.0, len(points))
+    return tau, CubicSpline(tau, points, axis=0).derivative()
+
+
+class TestSpeedIntegrand:
+    """The arclength integrand reproduces scipy's spline evaluation and numpy's
+    norm bit for bit; a scipy or numpy whose arithmetic differs fails here
+    instead of moving the snake's artifacts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 60), scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_scipy_then_numpy_norm(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        tau, dspline = _spline_derivative(rng.normal(size=(n, 2)) * 10.0**scale)
+        speed = _speed(dspline)
+        probes = np.concatenate([
+            rng.uniform(0.0, 1.0, 200),
+            tau,
+            np.nextafter(tau, -np.inf),
+            np.nextafter(tau, np.inf),
+            [0.0, 1.0],
+            rng.uniform(-0.5, 0.0, 20),
+            rng.uniform(1.0, 1.5, 20),
+        ])
+        for s in probes.tolist():
+            assert speed(s) == float(np.linalg.norm(dspline(s))), s
+
+    @pytest.mark.parametrize("points", [
+        np.column_stack([np.cos(np.linspace(0.0, 2.0 * np.pi, 40)),
+                         np.sin(np.linspace(0.0, 2.0 * np.pi, 40))]),
+        np.random.default_rng(3).normal(size=(25, 2)).cumsum(axis=0),
+    ], ids=["circle", "random-walk"])
+    def test_tables_equal_quad_over_scipy_and_numpy(self, points):
+        from scipy.integrate import quad
+
+        tau, dspline = _spline_derivative(points)
+        speed = lambda s: float(np.linalg.norm(dspline(s)))
+        for grid in (tau, np.linspace(0.0, 1.0, 16 * len(tau))):
+            tol = _ARCLENGTH_TOL / len(grid)
+            segments = [quad(speed, a, b, epsabs=tol, limit=200)[0]
+                        for a, b in zip(grid[:-1], grid[1:])]
+            expected = np.concatenate([[0.0], np.cumsum(segments)])
+            assert np.array_equal(_cumulative_arclength(dspline, grid), expected)
 
 
 class TestSnakeEvolve:

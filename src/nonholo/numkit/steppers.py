@@ -5,9 +5,19 @@ as a list of floats: a right-hand side that returns a ``list`` runs the float
 loop, one that returns an ndarray runs the array loop.  Both loops take the
 stage sums in the same order, so they give bit-identical states; the float
 loop only skips numpy's per-call overhead on 3-8 element states.
+
+The float loop's step is generated once per state dimension d (``exec`` of
+one template, as ``dataclasses`` builds its methods): it unpacks the state
+and each stage into d locals and writes each stage state as one list
+display.  A list comprehension over ``zip`` costs a function frame and an
+iterator per stage, which on these states took longer than the rhs itself.
+The generated step does the same float operations in the same order, so it
+stays bit-identical to the array loop.
 """
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -39,24 +49,43 @@ def _rk4_arrays(rhs, t, y, h, k1):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_floats(rhs, t, y, h, k1):
-    # numpy's order of operations: y + (0.5 h) k, y + (h/6)(((k1 + 2 k2) + 2 k3) + k4)
+# The float step's source: each [...] holding a "#" is unrolled over the d
+# components, "#" standing for the index (see _float_step).
+_FLOAT_STEP = """
+def step(rhs, t, y, h, k1):
+    [y#] = y
+    [p#] = k1
     a = 0.5 * h
     z = y
     try:
-        z = [v + a * k for v, k in zip(y, k1)]
-        k2 = rhs(t + a, z)
-        z = [v + a * k for v, k in zip(y, k2)]
-        k3 = rhs(t + a, z)
-        z = [v + h * k for v, k in zip(y, k3)]
-        k4 = rhs(t + h, z)
+        z = [y# + a * p#]
+        [q#] = rhs(t + a, z)
+        z = [y# + a * q#]
+        [r#] = rhs(t + a, z)
+        z = [y# + h * r#]
+        [s#] = rhs(t + h, z)
     except ValueError:
         # math.sin/math.cos raise on +-inf where numpy gives NaN; a non-finite
         # stage makes the array loop's state non-finite in this same step
         _check_finite(z, "state during integration")
         raise
     c = h / 6.0
-    return [v + c * (p + 2.0 * q + 2.0 * r + s) for v, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    return [y# + c * (p# + 2.0 * q# + 2.0 * r# + s#)]
+"""
+
+
+@functools.cache
+def _float_step(d):
+    """The RK4 step on a list of d floats, with every component in a local.
+
+    It takes numpy's order of operations, y + (0.5 h) k and
+    y + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so its states are the array loop's.
+    The source is built from the integer d alone.
+    """
+    unroll = lambda m: "[" + ", ".join(m[1].replace("#", str(j)) for j in range(d)) + "]"
+    namespace = {"_check_finite": _check_finite}
+    exec(re.sub(r"\[([^\[\]]*#[^\[\]]*)\]", unroll, _FLOAT_STEP), namespace)
+    return namespace["step"]
 
 
 def march(rhs, y0, t_span, dt, record_every=1, project=None):
@@ -85,9 +114,11 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
     final = nsteps - 1 if exact else -1
 
     k1 = rhs(t0, y)
+    if np.shape(k1) != y.shape:
+        raise ValueError(f"rhs returned shape {np.shape(k1)} for a state of shape {y.shape}")
     if isinstance(k1, list):
         # plain floats from here on; k1 was computed from numpy scalars
-        stage, y, k1 = _rk4_floats, y.tolist(), [float(k) for k in k1]
+        stage, y, k1 = _float_step(len(y)), y.tolist(), [float(k) for k in k1]
     else:
         stage = _rk4_arrays
     # records go into one array: nsteps // record_every rows at most, plus the

@@ -179,12 +179,14 @@ def integrate_skate(system, y0, g, t_span, stepper=None, mu=0.0, nu=None, alpha=
 
     times, states = integrate(rhs, y0, t_span, stepper, record_every=record_every)
 
-    if system == "regularized":
-        energy = np.array([regularized_energy(s, g, nu) for s in states])
-        phi = states[:, 3] * np.sin(states[:, 2]) - states[:, 4] * np.cos(states[:, 2])
-        ledger = {"energy": energy, "phi": phi}
-    else:
-        ledger = {"energy": skate_energy(states[:, 0], states[:, 3], states[:, 4], g)}
+    # the energy of a finite state may overflow; Trajectory raises NonFinite for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if system == "regularized":
+            energy = np.array([regularized_energy(s, g, nu) for s in states])
+            phi = states[:, 3] * np.sin(states[:, 2]) - states[:, 4] * np.cos(states[:, 2])
+            ledger = {"energy": energy, "phi": phi}
+        else:
+            ledger = {"energy": skate_energy(states[:, 0], states[:, 3], states[:, 4], g)}
     return Trajectory(times, columns, states, ledger)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nonholo.errors import UnknownColumn
+from nonholo.errors import NonFinite, UnknownColumn
 
 
 @dataclass
@@ -35,6 +35,10 @@ class Trajectory:
             series = np.asarray(series, dtype=float)
             if series.shape != self.times.shape:
                 raise ValueError(f"ledger series {name!r} length mismatch")
+            bad = ~np.isfinite(series)
+            if bad.any():
+                raise NonFinite(f"non-finite values in ledger column {name!r} "
+                                f"from t = {float(self.times[bad.argmax()])!r}")
             self.ledger[name] = series
 
     def __len__(self):

@@ -128,6 +128,15 @@ class TestExitCodes:
         code, _, _ = run_cli(["skate", "--config", cfg])
         assert code == EXIT_OK
 
+    def test_an_overflowing_ledger_is_one_numerical_failure_line(self, tmp_path):
+        # the state stays finite (about 1e298) while g x overflows the energy
+        cfg = write_config(tmp_path, {"system": "lda", "g": 1e300, "t_span": [0, 1],
+                                      "dt": 1e-3})
+        code, out, err = run_cli(["skate", "--config", cfg])
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err == ("numerical failure: NonFinite: non-finite values in ledger column "
+                       "'energy' from t = 0.001\n")
+
     def test_numerical_failure(self, tmp_path):
         cfg = write_config(tmp_path, {
             "n": 0, "controls": {"kind": "constant", "u1": 5.0, "u2": 1.0},

@@ -223,6 +223,7 @@ def _run(command, cfg):
 @settings(max_examples=600, deadline=None)
 @given(case=st.one_of(*(_cases(command) for command in SCHEMAS)))
 @example(case=("skate", 2, [(("system",), "regularized"), (("nu",), 1e-17), (("alpha",), 0.01)]))
+@example(case=("skate", 1, [(("g",), 1e300)]))  # finite states, overflowing energy ledger
 @example(case=("flag", 2, [(("tol",), 0.5)]))  # ranks that fall as vectors are added
 @example(case=("snake", 2, [(("path", "points"), [[0, 0], [0, 0], [0, 0], [0, 0]])]))
 @example(case=("snake", 0, [(("path", "radius"), 1e-300)]))

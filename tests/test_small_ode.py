@@ -5,6 +5,8 @@ loop.  The references below are the numpy formulas the systems used when
 they ran through the array loop; both loops must give identical bits.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -233,6 +235,51 @@ def test_constrained_spin_float_loop_is_bit_identical(A, constraints, m, schedul
     traj = integrate_lie(("constrained", A, a), m0, (t0, t0 + span), Stepper.rk4(dt),
                          record_every=every)
     assert_same(traj, array_loop(lambda y: eps_np(y, A, a), m0, schedule))
+
+
+# ---------------------------------------------------------------------------
+# any state dimension: the generated float step against the array loop
+
+
+def mixing_rhs(t, y):
+    # every component couples to its neighbours through sin and products
+    d = len(y)
+    return [math.sin(y[j - 1]) * y[(j + 1) % d] - 0.5 * y[j] + math.cos(t + j)
+            for j in range(d)]
+
+
+@given(st.integers(1, 70).flatmap(lambda d: states(d)), finite(-5.0, 5.0),
+       st.integers(1, 30), finite(1e-3, 5e-2), st.sampled_from([1.0, -1.0]),
+       st.one_of(st.just(0.0), finite(0.05, 0.95)), st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_the_float_loop_is_bit_identical_in_any_dimension(y0, t0, steps, dt, sign, part,
+                                                          every):
+    # part = 0 ends on a full step; otherwise the last step is shortened
+    dt *= sign
+    t1 = t0 + (steps + part) * dt
+    stepper = Stepper.rk4(dt)
+    times, states_ = integrate(mixing_rhs, y0, (t0, t1), stepper, record_every=every)
+    ref = integrate(lambda t, y: np.array(mixing_rhs(t, y.tolist())), y0, (t0, t1), stepper,
+                    record_every=every)
+    assert times[-1] == ref[0][-1] == t1
+    assert np.array_equal(times, ref[0]) and np.array_equal(states_, ref[1])
+
+
+@pytest.mark.parametrize("kind", [list, np.array], ids=["float-loop", "array-loop"])
+@pytest.mark.parametrize("size", [1, 3], ids=["too-short", "too-long"])
+def test_a_rhs_of_the_wrong_length_is_refused(kind, size):
+    rhs, calls = counted(lambda t, y: kind([-1.0] * size))
+    with pytest.raises(ValueError, match=fr"rhs returned shape \({size},\) "
+                                         r"for a state of shape \(2,\)"):
+        integrate(rhs, [1.0, 2.0], (0.0, 0.01), Stepper.rk4(1e-3))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("size, message", [(1, "not enough"), (3, "too many")])
+def test_a_later_wrong_length_stops_the_float_loop(size, message):
+    rhs = lambda t, y: [-1.0] * (size if t > 0.0 else 2)
+    with pytest.raises(ValueError, match=f"{message} values to unpack"):
+        integrate(rhs, [1.0, 2.0], (0.0, 0.01), Stepper.rk4(1e-3))
 
 
 # ---------------------------------------------------------------------------

@@ -516,13 +516,15 @@ class TestCsvWriter:
         times = sorted(data.draw(st.lists(
             st.floats(allow_nan=False, allow_infinity=False), min_size=rows, max_size=rows,
             unique=True)))
-        block = data.draw(st.lists(values, min_size=rows * (cols + n_ledger),
-                                   max_size=rows * (cols + n_ledger)))
-        block = np.array(block, dtype=float).reshape(rows, cols + n_ledger)
+        states = data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        # a Trajectory refuses non-finite ledger values, so only the states draw them
+        ledger = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=rows * n_ledger, max_size=rows * n_ledger))
+        ledger = np.array(ledger, dtype=float).reshape(rows, n_ledger)
         traj = Trajectory(
             times=np.array(times, dtype=float), columns=[f"q{j}" for j in range(cols)],
-            states=block[:, :cols],
-            ledger={f"L{j}": block[:, cols + j] for j in range(n_ledger)},
+            states=np.array(states, dtype=float).reshape(rows, cols),
+            ledger={f"L{j}": ledger[:, j] for j in range(n_ledger)},
         )
         assert trajectory.to_csv(traj) == ref_to_csv(traj)
 

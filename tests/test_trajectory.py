@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonholo.errors import UnknownColumn
+from nonholo.errors import NonFinite, UnknownColumn
 from nonholo.snake import frame_to_csv, timelapse_svg
 from nonholo.trajectory import Trajectory, to_csv, to_svg
 
@@ -37,6 +37,12 @@ class TestConstruction:
     def test_ledger_length_mismatch(self):
         with pytest.raises(ValueError):
             Trajectory([0.0, 1.0], ["x"], np.zeros((2, 1)), {"e": np.zeros(3)})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_ledger_value_names_its_column_and_first_time(self, bad):
+        ledger = {"energy": [0.5, 0.5, 0.5], "phi": [0.0, bad, bad]}
+        with pytest.raises(NonFinite, match=r"ledger column 'phi' from t = 0\.1$"):
+            Trajectory([0.0, 0.1, 0.2], ["x"], np.zeros((3, 1)), ledger)
 
     def test_column_access(self):
         traj = _sample()

@@ -37,6 +37,7 @@ from nonholo.schema import (
 _NUMERICAL_ERRORS = (
     errors.NonFinite,
     errors.NegativeDensity,
+    errors.FallingRank,
     errors.SingularGram,
     errors.SteeringOutOfRange,
     errors.DomainExceeded,
@@ -352,7 +353,12 @@ def run_flag(cfg, rng):
     try:
         for _ in range(points):
             p = generic_point(kind, dim, rng)
-            reports.append(distributions.derived_flag(dist, p, tol=cfg["tol"]))
+            report = distributions.derived_flag(dist, p, tol=cfg["tol"])
+            if any(b < a for a, b in zip(report.dims, report.dims[1:])):
+                # the flag is nested, so only the rank tolerance can make it fall
+                raise errors.FallingRank(f"derived flag dims {report.dims} fall at point "
+                                         f"{report.point} with tol = {cfg['tol']!r}")
+            reports.append(report)
     except errors.JetTableTooLarge as exc:
         key = "s" if kind == "cartan" else "n"
         raise ConfigError(f"config key {key!r} is too large for the derived flag: {exc}") from exc
@@ -747,6 +753,20 @@ def _evaluate_checks(declared, values):
     return results
 
 
+def _non_finite_key(value, key=""):
+    """Dotted key of the first NaN or infinity in a report of dicts, lists and
+    numbers, or None; strict JSON has no spelling for those values."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else key
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for sub_key, sub in items:
+        found = _non_finite_key(sub, f"{key}.{sub_key}" if key else str(sub_key))
+        if found is not None:
+            return found
+    return None
+
+
 def _write_artifacts(arts, out_dir, formats):
     written = []
     out = Path(out_dir)
@@ -774,7 +794,20 @@ def main(argv=None):
             raise ConfigError("config key '--format' must be a subset of csv,svg,json")
         cfg = SCHEMAS[args.command].read(cfg)
         rng = np.random.default_rng(args.seed)
-        summary, values, arts = RUNNERS[args.command](cfg, rng)
+        # every result is checked below, so numpy's floating-point warnings
+        # would only repeat, on stderr, a failure that is reported anyway
+        with np.errstate(all="ignore"):
+            summary, values, arts = RUNNERS[args.command](cfg, rng)
+        check_results = _evaluate_checks(cfg["checks"], values)
+        report = {
+            "command": args.command,
+            "summary": summary,
+            "values": values,
+            "checks": check_results,
+        }
+        key = _non_finite_key(report)
+        if key is not None:
+            raise errors.NonFinite(f"non-finite value of {key!r} in the report")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -782,20 +815,13 @@ def main(argv=None):
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    check_results = _evaluate_checks(cfg["checks"], values)
-    report = {
-        "command": args.command,
-        "summary": summary,
-        "values": values,
-        "checks": check_results,
-    }
     if args.out is not None:
         report["outputs"] = _write_artifacts(arts, args.out, formats)
         if "json" in formats:
             path = Path(args.out) / "summary.json"
-            path.write_text(json.dumps(report, indent=1) + "\n")
+            path.write_text(json.dumps(report, indent=1, allow_nan=False) + "\n")
             report["outputs"].append(str(path))
-    print(json.dumps(report, indent=1))
+    print(json.dumps(report, indent=1, allow_nan=False))
 
     failed = [c["name"] for c in check_results if not c["pass"]]
     if args.check and failed:

@@ -3,7 +3,8 @@
 Motion is generated by two control amplitudes multiplying the system's two
 generator fields, so every trajectory is tangent to the rolling distribution
 by construction; the recorded residuals measure how well the reconstructed
-axle velocities respect that tangency.
+axle velocities respect that tangency.  The rig right-hand side calls the
+generator functions on the float state directly (see ``rig_rhs``).
 """
 
 import math
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nonholo.distributions import car_trailer_fields, lie_bracket, trailer_fields
+from nonholo.errors import DimensionMismatch
 from nonholo.numkit import Stepper, integrate
 from nonholo.trajectory import Trajectory
 
@@ -94,16 +96,29 @@ def axle_residuals(kind, n, q, qdot, l=1.0):
     return np.array(res)
 
 
-def simulate_rig(kind, n, controls, q0, t_span, stepper, l=1.0, record_every=1):
-    """Integrate q' = u1(t) G1(q) + u2(t) G2(q) and record constraint residuals."""
-    dist = rig_distribution(kind, n, l)
-    g1, g2 = dist.generators
-    q0 = np.asarray(q0, dtype=float)
+def rig_rhs(dist, controls):
+    """q' = u1(t) G1(q) + u2(t) G2(q) of a two-generator distribution, as a list.
+
+    It calls the generators' functions on the float state directly: the
+    length check and the jet-to-float conversion of ``VectorField.values``
+    matter only for jets, and the caller checks the state's length once.
+    """
+    f1, f2 = (g.func for g in dist.generators)
 
     def rhs(t, q):
         u1, u2 = controls.at(t)
-        return [u1 * a + u2 * b for a, b in zip(g1.values(q), g2.values(q))]
+        return [u1 * a + u2 * b for a, b in zip(f1(q), f2(q))]
 
+    return rhs
+
+
+def simulate_rig(kind, n, controls, q0, t_span, stepper, l=1.0, record_every=1):
+    """Integrate q' = u1(t) G1(q) + u2(t) G2(q) and record constraint residuals."""
+    dist = rig_distribution(kind, n, l)
+    q0 = np.asarray(q0, dtype=float)
+    if len(q0) != dist.dim:
+        raise DimensionMismatch(f"{kind} rig with {n} trailers expects dim {dist.dim}")
+    rhs = rig_rhs(dist, controls)
     times, states = integrate(rhs, q0, t_span, stepper, record_every=record_every)
     resid = np.empty(len(times))
     for k, (t, q) in enumerate(zip(times, states)):

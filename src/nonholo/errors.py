@@ -21,6 +21,10 @@ class SingularGram(ArithmeticError):
     """A Gram, inertia or mass matrix is singular; the motion is undetermined."""
 
 
+class FallingRank(ArithmeticError):
+    """Ranks of a nested flag fell: the rank tolerance is too coarse to trust."""
+
+
 class NegativeDensity(ArithmeticError):
     """Fluid density dropped to or below the positivity floor."""
 

@@ -3,7 +3,9 @@ constrained spin with multipliers.
 
 All flows live on R^3 via the cross-product realization of the coadjoint
 action: the drift is always m x v for some angular velocity v, which makes
-energy conservation a one-line antisymmetry identity.
+energy conservation a one-line antisymmetry identity.  The constrained
+flow is a fixed linear map of the free drift, since its Gram matrix does
+not depend on m, so that map is built once per run.
 """
 
 import numpy as np
@@ -46,10 +48,13 @@ def constraint_values(m, A, constraints):
 
 
 def _constrained_flow(A, constraints):
-    """The map m -> (m', lambda) of the constrained momentum flow, and A^{-1}.
+    """(P, K, A^{-1}) of the constrained momentum flow.
 
-    A^{-1}, the Gram matrix and its conditioning do not depend on m and are
-    computed once here.
+    With the free drift f = m x A^{-1}m, the flow is m' = P f and its
+    multipliers are lambda = K f, where K = -G^{-1} a A^{-1} for the Gram
+    matrix G = a A^{-1} a^T and P = I + a^T K.  None of these depends on m,
+    so they are computed once here, after the conditioning check, and no
+    linear solve runs per evaluation.
     """
     try:
         Ainv = np.linalg.inv(_as_operator(A))
@@ -62,28 +67,24 @@ def _constrained_flow(A, constraints):
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularGram("constraint Gram matrix is singular")
-
-    def flow(m):
-        free = _euler_arnold(m, Ainv)
-        rhsvec = -(a @ (Ainv @ free))
-        try:
-            lam = np.linalg.solve(gram, rhsvec)
-        except np.linalg.LinAlgError as exc:
-            raise SingularGram("constraint Gram matrix is singular") from exc
-        return [f + c for f, c in zip(free, (a.T @ lam).tolist())], lam
-
-    return flow, Ainv
+    # P depends only on the constraint directions: rows scaled to a largest
+    # entry of 1 keep the Gram matrix and K clear of underflow and overflow
+    size = np.abs(a).max(axis=1, keepdims=True)
+    u = a / size
+    K = -np.linalg.solve(u @ Ainv @ u.T, u @ Ainv)
+    return np.eye(3) + u.T @ K, K / size, Ainv
 
 
 def eps_rhs(m, A, constraints):
     """Constrained momentum flow: m' = m x (A^{-1}m) + sum_i lambda_i a_i.
 
-    The multipliers solve the linear system that keeps every pairing
-    <a_i, A^{-1} m> constant along the flow.
+    The multipliers keep every pairing <a_i, A^{-1} m> constant along the
+    flow; they are linear in the free drift, through matrices fixed per
+    inertia and constraints (see ``_constrained_flow``).
     """
-    flow, _ = _constrained_flow(A, constraints)
-    mdot, lam = flow(np.asarray(m, dtype=float))
-    return np.array(mdot), lam
+    P, K, Ainv = _constrained_flow(A, constraints)
+    free = _euler_arnold(np.asarray(m, dtype=float), Ainv)
+    return P @ free, K @ free
 
 
 def restricted_inverse_inertia(A, a):
@@ -123,13 +124,13 @@ def integrate_lie(flow, m0, t_span, stepper, record_every=1):
     elif kind == "constrained":
         A = _as_operator(flow[1])
         constraints = np.asarray(flow[2], dtype=float).reshape(-1, 3)
-        flow_at, Ainv = _constrained_flow(A, constraints)
+        P, K, Ainv = _constrained_flow(A, constraints)
 
         def rhs(t, m):
-            return flow_at(m)[0]
+            return (P @ _euler_arnold(m, Ainv)).tolist()
 
         times, states = integrate(rhs, m0, t_span, stepper, record_every=record_every)
-        lams = np.array([flow_at(m)[1] for m in states])
+        lams = np.array([K @ _euler_arnold(m, Ainv) for m in states])
         ledger = {
             "energy": np.array([spin_energy(m, Ainv) for m in states]),
             "casimir": np.einsum("ij,ij->i", states, states),

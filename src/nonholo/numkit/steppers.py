@@ -91,12 +91,15 @@ def _float_step(d):
 def march(rhs, y0, t_span, dt, record_every=1, project=None):
     """RK4 from y0 over t_span in steps of dt; returns (times, states) arrays.
 
-    When the span is not a multiple of dt, the last step is shortened so
-    that the final sample is at t1; step i ends at t0 + i dt.  States are
-    recorded every ``record_every`` steps, plus the final state.  The first
-    rhs evaluation picks the loop (see the module docstring) and serves as
-    the first step's first stage.  ``project``, when given, maps each new
-    state back onto a constraint set before it is checked and recorded.
+    The final sample is at t1.  When the span is not a multiple of dt, the
+    last step is shortened to end there; step i ends at t0 + i dt, and a
+    last full step that ends within the landing tolerance of t1 is recorded
+    at t1.  A nonzero span shorter than dt is one shortened step, however
+    short.  States are recorded every ``record_every`` steps, plus the final
+    state.  The first rhs evaluation picks the loop (see the module
+    docstring) and serves as the first step's first stage.  ``project``,
+    when given, maps each new state back onto a constraint set before it is
+    checked and recorded.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
@@ -107,10 +110,11 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
     if span < 0:
         raise ValueError(f"t_span {t_span!r} runs against the sign of dt {dt!r}")
     nsteps = int(round(span))
-    exact = abs(t0 + nsteps * dt - t1) <= 1e-9 * max(1.0, abs(t1))
+    # a nonzero span within the landing tolerance of zero steps takes one step
+    exact = (nsteps > 0 or t1 == t0) and abs(t0 + nsteps * dt - t1) <= 1e-9 * max(1.0, abs(t1))
     if not exact:
         # full steps first; one shortened step then lands on t1
-        nsteps = int(np.ceil(span - 1e-12)) - 1
+        nsteps = max(int(np.ceil(span - 1e-12)) - 1, 0)
     final = nsteps - 1 if exact else -1
 
     k1 = rhs(t0, y)
@@ -124,7 +128,7 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
     # records go into one array: nsteps // record_every rows at most, plus the
     # initial state, the last full step and a shortened last step.  A list of
     # rows and its copy would hold every record twice.
-    times = np.empty(3 + max(nsteps, 0) // record_every)
+    times = np.empty(3 + nsteps // record_every)
     states = np.empty(times.shape + np.shape(y))
     times[0], states[0], k = t0, y, 1
 
@@ -143,7 +147,9 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
         t = t0 + (i + 1) * dt
         if (i + 1) % record_every == 0 or i == final:
             times[k], states[k], k = t, y, k + 1
-    if not exact:
+    if exact:
+        times[k - 1] = t1  # t0 + nsteps dt, within the landing tolerance of t1
+    else:
         if nsteps > 0:
             k1 = rhs(t, y)
         times[k], states[k], k = t1, advance(t, y, t1 - t, k1), k + 1

@@ -3,7 +3,9 @@
 * ``regularized_rhs``: the unconstrained system with a quadratic penalty
   (strength 1/nu) on the no-sideslip residual phi = xdot sin(theta) -
   ydot cos(theta) plus a friction force (strength 1/alpha) on the same
-  residual.  State (x, y, theta, xdot, ydot, thetadot).
+  residual.  State (x, y, theta, xdot, ydot, thetadot).  The mass matrix
+  is a rank-one update of the identity, so the accelerations are a closed
+  form (Sherman-Morrison) and no linear solve runs per evaluation.
 * ``reduced_rhs``: the one-parameter family obtained in the double limit
   nu, alpha -> 0 with fixed ratio mu = nu/alpha.  State
   (x, y, theta, omega, rho, lam) where rho is the blade-direction speed
@@ -22,7 +24,6 @@ import math
 
 import numpy as np
 
-from nonholo.errors import SingularGram
 from nonholo.numkit import Stepper, integrate
 from nonholo.trajectory import Trajectory
 
@@ -80,24 +81,12 @@ def _regularized(s, g, nu, alpha):
     sn, cs = math.sin(theta), math.cos(theta)
     phi = xd * sn - yd * cs
     rho = xd * cs + yd * sn
-    # M = I + outer(n, n) / nu with n = (sin theta, -cos theta), entry by entry
-    # as numpy forms it (0.0 + keeps the sign of a zero off-diagonal entry)
-    M = [
-        [1.0 + sn * sn / nu, 0.0 + sn * -cs / nu],
-        [0.0 + -cs * sn / nu, 1.0 + -cs * -cs / nu],
-    ]
-    b = [
-        -g - (phi / alpha) * sn - (phi * td / nu) * cs - (td * rho / nu) * sn,
-        (phi / alpha) * cs + (td * rho / nu) * cs - (phi * td / nu) * sn,
-    ]
-    try:
-        acc = np.linalg.solve(M, b).tolist()
-    except np.linalg.LinAlgError as exc:
-        # in floating point 1 + sin^2/nu loses the 1 once nu is below ~1e-16
-        raise SingularGram(
-            f"mass matrix I + n n^T/nu is singular in floating point at nu = {nu!r}"
-        ) from exc
-    return [xd, yd, td, acc[0], acc[1], phi * rho / nu]
+    b0 = -g - (phi / alpha) * sn - (phi * td / nu) * cs - (td * rho / nu) * sn
+    b1 = (phi / alpha) * cs + (td * rho / nu) * cs - (phi * td / nu) * sn
+    # M^{-1} b = b - n (n . b) / (1 + nu) for M = I + n n^T / nu and the unit
+    # vector n = (sin theta, -cos theta) (Sherman-Morrison)
+    k = (sn * b0 - cs * b1) / (1.0 + nu)
+    return [xd, yd, td, b0 - sn * k, b1 + cs * k, phi * rho / nu]
 
 
 def regularized_rhs(s, g, nu, alpha):
@@ -105,6 +94,10 @@ def regularized_rhs(s, g, nu, alpha):
 
     Accelerations solve M(theta) (xddot, yddot)^T = b with
     M = I + (1/nu) n n^T, n = (sin theta, -cos theta); thetaddot = phi rho/nu.
+    Since |n| = 1, M is a rank-one update of the identity and its inverse is
+    the closed form I - n n^T / (1 + nu) (Sherman-Morrison), so no linear
+    solve runs and no nu > 0 makes M singular; a solve would lose accuracy
+    as cond(M) = 1 + 1/nu grows.
     """
     return np.array(_regularized(s, g, nu, alpha))
 

@@ -230,7 +230,10 @@ def sleigh_with_string(v0, omega0, L, t_span, stepper=None, n_string=50, record_
     # smooth interpolants of the traversed track for the delayed replay
     track_x = CubicSpline(full.times, x)
     track_y = CubicSpline(full.times, y)
-    keep = slice(None, None, record_every)
+    # every record_every-th step and the final one, as integrate records them
+    keep = list(range(0, len(full.times), record_every))
+    if keep[-1] != len(full.times) - 1:
+        keep.append(len(full.times) - 1)
     out_times = full.times[keep]
     s_grid = np.linspace(0.0, L, n_string)
     frames = []

@@ -165,13 +165,46 @@ class TestExitCodes:
         # finite amplitudes whose sum overflows while the initial field is sampled
         ("odd-fluid", {"n": 8, "initial": {"vx": {"modes": [
             {"kx": 1, "ky": 0, "cos": 1.7e308, "sin": 1.7e308}]}}}),
-    ], ids=["burgers-cos", "odd-fluid-eta_H", "odd-fluid-initial-overflow"])
+        # the potential's gradient overflows before integrate silences numpy
+        ("burgers", {"n": 8, "potential": {"modes": [{"kx": 1, "ky": 0, "cos": 1e308}]}}),
+    ], ids=["burgers-cos", "odd-fluid-eta_H", "odd-fluid-initial-overflow", "burgers-cos-max"])
     def test_spectral_blow_up_prints_one_failure_line(self, tmp_path, command, cfg):
         # run_cli appends each warning raised to stderr, so one line means none was
         cfg = {"t_span": [0, 0.01], "dt": 1e-3, **cfg}
         code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
         assert code == EXIT_NUMERICAL and out == ""
         assert err.startswith("numerical failure: NonFinite") and err.count("\n") == 1
+
+    def test_a_non_finite_report_value_is_a_numerical_failure(self, tmp_path):
+        # the state stays finite while the circle fit squares overflow
+        cfg = {"system": "lda", "g": 0, "initial": {"x": 1e160}, "t_span": [0, 0.01],
+               "dt": 1e-3}
+        code, out, err = run_cli(["skate", "--config", write_config(tmp_path, cfg), "--out",
+                                  str(tmp_path / "out"), "--format", "csv,svg,json"])
+        assert code == EXIT_NUMERICAL and out == "" and not (tmp_path / "out").exists()
+        assert err == ("numerical failure: NonFinite: non-finite value of "
+                       "'values.circle_fit_residual' in the report\n")
+
+    def test_a_falling_flag_is_a_numerical_failure(self, tmp_path):
+        cfg = {"kind": "car", "l": 1.0, "points": 3, "tol": 0.5}
+        code, out, err = run_cli(["flag", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("numerical failure: FallingRank: derived flag dims [2, 3, 2] "
+                              "fall at point [")
+        assert err.endswith("] with tol = 0.5\n")
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("sleigh", {**PRESETS["sleigh-circle"][1], "t_span": [0, 1e-12]}),
+        ("sleigh", {**PRESETS["sleigh-circle"][1], "t_span": [0, 5e-324]}),
+        ("sleigh", {**PRESETS["sleigh-circle"][1], "t_span": [0, 0.0105]}),
+        ("skate", {"system": "reduced", "g": 1, "mu": 1, "t_span": [0, 1e-10], "dt": 1e-3}),
+    ], ids=["sleigh-1e-12", "sleigh-subnormal", "sleigh-off-grid", "skate-1e-10"])
+    def test_a_span_shorter_than_the_landing_tolerance_ends_at_t1(self, tmp_path, command,
+                                                                   cfg):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_OK and err == ""
+        summary = json.loads(out)["summary"]
+        assert summary["final_time"] == cfg["t_span"][1] and summary["samples"] == 2
 
     @pytest.mark.parametrize("command, cfg, field", [
         ("flag", {"kind": "trailer", "n": 1, "points": 2, "tol": float("nan")}, "tol"),
@@ -307,11 +340,13 @@ class TestExitCodes:
         assert "config key" in err and repr(field) in err and "Traceback" not in err
 
     def test_singular_regularized_mass_matrix_names_nu(self, tmp_path):
-        # 1 + sin^2(theta)/nu loses the 1, so the mass matrix is singular in floats
+        # the closed-form inverse of I + n n^T/nu needs no solve, but forces of
+        # order 1/nu blow the state up within the first steps
         cfg = {**self.RUN, "system": "regularized", "nu": 1e-17, "alpha": 0.01}
         code, out, err = run_cli(["skate", "--config", write_config(tmp_path, cfg)])
         assert code == EXIT_NUMERICAL and out == ""
-        assert "mass matrix" in err and "nu" in err and "Traceback" not in err
+        assert err == ("numerical failure: NonFinite: non-finite values in state "
+                       "during integration\n")
 
     @pytest.mark.parametrize("path, field", [
         ({"kind": "points", "points": [[0, 0], [0, 0], [0, 0], [0, 0]]}, "path.points"),

@@ -7,6 +7,8 @@ a base and replaces a few of its values (nested ones too) with finite
 extremes, zeros, negatives, NaN/±Infinity, booleans, strings and other JSON
 values.  Whatever the values, ``main`` must return one of the documented exit
 codes: 0 success, 1 config error, 2 numerical failure, 3 check failed.
+Stderr holds no traceback and no warning; on exits 0 and 3 stdout is strict
+JSON (no NaN or Infinity), and a run over a time span ends at its t1.
 
 The same bases feed a guard: each run must read every top-level key its
 table declares, so no declared key is accepted and then ignored.
@@ -206,6 +208,10 @@ def test_every_declared_key_is_read(command, cfg):
     assert set(cfg) - cfg.read == set()
 
 
+def _refuse(constant):
+    raise AssertionError(f"stdout holds {constant}, which strict JSON has no spelling for")
+
+
 def _run(command, cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
@@ -216,7 +222,11 @@ def _run(command, cfg):
                 code = main([command, "--config", str(path), "--check"])
             except Exception as exc:
                 raise AssertionError(f"main raised {exc!r} on {cfg!r}") from exc
-    assert "Traceback" not in err.getvalue(), cfg
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), cfg
+    if code in (0, 3):
+        summary = json.loads(out.getvalue(), parse_constant=_refuse)["summary"]
+        if "final_time" in summary:
+            assert summary["final_time"] == cfg["t_span"][1], cfg
     return code
 
 
@@ -225,6 +235,14 @@ def _run(command, cfg):
 @example(case=("skate", 2, [(("system",), "regularized"), (("nu",), 1e-17), (("alpha",), 0.01)]))
 @example(case=("skate", 1, [(("g",), 1e300)]))  # finite states, overflowing energy ledger
 @example(case=("flag", 2, [(("tol",), 0.5)]))  # ranks that fall as vectors are added
+# spans shorter than the landing tolerance still end at t1
+@example(case=("sleigh", 0, [(("t_span", 1), 1e-12)]))
+@example(case=("sleigh", 0, [(("t_span", 1), SUB)]))
+@example(case=("skate", 0, [(("t_span", 1), 1e-10)]))
+# finite states whose circle fit overflows; warnings before a failure line
+@example(case=("skate", 1, [(("initial", "x"), 1e160)]))
+@example(case=("burgers", 0, [(("n",), 8), (("potential", "modes"),
+                                            [{"kx": 1, "ky": 0, "cos": 1e308}])]))
 @example(case=("snake", 2, [(("path", "points"), [[0, 0], [0, 0], [0, 0], [0, 0]])]))
 @example(case=("snake", 0, [(("path", "radius"), 1e-300)]))
 @example(case=("snake", 0, [(("t_grid", "samples"), 10**20)]))

@@ -15,6 +15,7 @@ from nonholo.driving import (
     simulate_rig,
     sine_control,
 )
+from nonholo.errors import DimensionMismatch
 from nonholo.numkit import Stepper
 from nonholo.skate import fit_circle
 
@@ -175,3 +176,10 @@ def test_axle_residuals_flag_sliding_motion():
 def test_unknown_rig_kind_rejected():
     with pytest.raises(ValueError):
         simulate_rig("bike", 0, constant_control(0, 1), [0, 0, 0], (0, 1), Stepper.rk4(0.1))
+
+
+@pytest.mark.parametrize("kind, n, q0", [("unicycle", 1, [0.0, 0.0, 0.0]),
+                                         ("car", 0, [0.0, 0.0, 0.0, 0.0, 0.0])])
+def test_a_start_of_the_wrong_dimension_is_refused(kind, n, q0):
+    with pytest.raises(DimensionMismatch, match=f"{kind} rig with {n} trailers expects dim"):
+        simulate_rig(kind, n, constant_control(0, 1), q0, (0, 1), Stepper.rk4(0.1))

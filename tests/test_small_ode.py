@@ -73,14 +73,14 @@ def regularized_np(s, g, nu, alpha):
     phi = xd * sn - yd * cs
     rho = xd * cs + yd * sn
     n = np.array([sn, -cs])
-    M = np.eye(2) + np.outer(n, n) / nu
     b = np.array(
         [
             -g - (phi / alpha) * sn - (phi * td / nu) * cs - (td * rho / nu) * sn,
             (phi / alpha) * cs + (td * rho / nu) * cs - (phi * td / nu) * sn,
         ]
     )
-    acc = np.linalg.solve(M, b)
+    # (I + n n^T / nu)^{-1} b by Sherman-Morrison, |n| = 1
+    acc = b - n * ((n[0] * b[0] + n[1] * b[1]) / (1.0 + nu))
     return np.array([xd, yd, td, acc[0], acc[1], phi * rho / nu])
 
 
@@ -92,9 +92,9 @@ def eps_np(m, A, constraints):
     Ainv = np.linalg.inv(A)
     a = np.asarray(constraints, dtype=float).reshape(-1, 3)
     free = np.cross(m, Ainv @ m)
-    gram = a @ Ainv @ a.T
-    lam = np.linalg.solve(gram, -(a @ (Ainv @ free)))
-    return free + a.T @ lam
+    u = a / np.abs(a).max(axis=1, keepdims=True)
+    K = -np.linalg.solve(u @ Ainv @ u.T, u @ Ainv)
+    return (np.eye(3) + u.T @ K) @ free
 
 
 def sine_np(a1, w1, a2, w2):
@@ -150,7 +150,7 @@ def test_regularized_skate_float_loop_is_bit_identical(s0, g, nu, alpha, schedul
 
 
 def test_regularized_rhs_keeps_the_sign_of_a_zero_coupling():
-    # theta = 0 makes sin(theta) cos(theta) / nu a signed zero in M
+    # theta = +-0 makes sin(theta) a signed zero in n, and b's entries are signed zeros
     for theta in (0.0, -0.0, np.pi / 2, np.pi):
         s = np.array([0.0, 0.0, theta, 0.0, -0.0, 0.0])
         got = regularized_rhs(s, 0.0, 0.1, 0.1)
@@ -376,3 +376,11 @@ def test_renormalized_spin_chain_ends_at_t1(t1, every, monkeypatch):
     grid = [i * 1e-4 for i in range(every, nsteps, every)]
     assert list(tr.times[1:len(grid) + 1]) == grid
     assert tr.column("norm_dev").max() < 1e-14
+
+
+@pytest.mark.parametrize("t1, nsteps", [(1e-12, 1), (5e-324, 1), (0.0, 0)])
+def test_a_span_within_the_landing_tolerance_of_zero_steps_ends_at_t1(t1, nsteps):
+    rhs, calls = counted(lambda t, y: [-v for v in y])
+    times, states_ = integrate(rhs, [1.0], (0.0, t1), Stepper.rk4(1e-3))
+    assert list(times) == [0.0, t1][: nsteps + 1] and len(states_) == nsteps + 1
+    assert len(calls) == 1 + 3 * nsteps     # the first evaluation is the step's first stage

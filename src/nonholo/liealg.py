@@ -63,15 +63,18 @@ def _constrained_flow(A, constraints):
     a = np.asarray(constraints, dtype=float).reshape(-1, 3)
     if len(a) > 2:
         raise ValueError("at most two independent constraints on a 3d algebra")
-    gram = a @ Ainv @ a.T
+    # P depends only on the constraint directions: rows scaled to a largest
+    # entry of 1 keep the Gram matrix and K clear of underflow and overflow,
+    # and a row's length alone cannot make the Gram matrix look singular
+    size = np.abs(a).max(axis=1, keepdims=True)
+    if not np.all(size > 0):
+        raise SingularGram("constraint Gram matrix is singular: a constraint row is zero")
+    u = a / size
+    gram = u @ Ainv @ u.T
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularGram("constraint Gram matrix is singular")
-    # P depends only on the constraint directions: rows scaled to a largest
-    # entry of 1 keep the Gram matrix and K clear of underflow and overflow
-    size = np.abs(a).max(axis=1, keepdims=True)
-    u = a / size
-    K = -np.linalg.solve(u @ Ainv @ u.T, u @ Ainv)
+    K = -np.linalg.solve(gram, u @ Ainv)
     return np.eye(3) + u.T @ K, K / size, Ainv
 
 

@@ -7,94 +7,59 @@ string follows the free sleigh's trajectory (a circle or a line), and
 every string point replays the contact point's path with a constant time
 delay.
 
-Arclengths come from one quadrature routine, ``_cumulative_arclength``.  Its
-integrand, ``_speed``, evaluates the spline derivative in plain Python floats
-with the operations of scipy's piece evaluation, in the same order, and takes
-the norm through ``ndarray.dot`` as ``np.linalg.norm`` does (BLAS may fuse
-that multiply-add, so ``math.hypot`` would not match).  So arclengths equal
-those of the scipy/numpy integrand bit for bit, at about a fifth of its
-cost.  Frames are written as CSV and time-lapse SVG by the writers in
-``nonholo.trajectory``.  scipy (quadrature and splines) is imported inside
-the functions that use it, so importing this module, and with it the CLI,
-does not load scipy.
+Curves are not-a-knot cubic splines (``numkit.spline``).  Arclengths come
+from one routine, ``_cumulative_arclength``: the 8-point Gauss-Legendre rule
+on each grid interval, with the spline's derivative evaluated at every node
+of every interval in one vectorised call.  The speed of a cubic spline is
+smooth on each knot interval, so the fixed rule is as accurate as adaptive
+quadrature there.  Frames are written as CSV and time-lapse SVG by the
+writers in ``nonholo.trajectory``.
 """
-
-import math
-from bisect import bisect_right
 
 import numpy as np
 
 from nonholo.errors import DomainExceeded
+from nonholo.numkit import cubic_spline
 from nonholo.skate import integrate_skate, initial_reduced
 from nonholo.trajectory import Trajectory, csv_bytes, svg_bytes
 
-_ARCLENGTH_TOL = 1e-8
-# bound on samples x largest coordinate: the quadrature squares spline speeds of
-# about that size, which must stay finite
+# bound on samples x largest coordinate: spline slopes and arclengths grow
+# with that product, and must stay finite through the solve and the tables
 _MAX_EXTENT = 1e150
 
-
-def _speed(dspline):
-    """|dspline(s)| at a scalar s, bit for bit ``float(np.linalg.norm(dspline(s)))``.
-
-    The piece is found as scipy's ``find_interval`` finds it: the last knot
-    at or before s, searched among the inner knots only, so that points
-    outside the knots fall in the first or last piece, which extrapolate;
-    and each component is summed in the order of scipy's ``evaluate_poly1``.
-    The norm stays ``sqrt(v.dot(v))`` on a float64 array, numpy's own path:
-    BLAS ``ddot`` may fuse its multiply-add, so ``math.hypot`` or
-    ``sqrt(a*a + b*b)`` would differ from it in the last bit.
-    """
-    x = dspline.x.tolist()
-    inner = len(x) - 1
-    k, m = dspline.c.shape[:2]
-    # per piece, per component: coefficients from the constant term up
-    pieces = np.moveaxis(dspline.c.reshape(k, m, -1)[::-1], 0, -1).tolist()
-    v = np.empty(len(pieces[0]))
-
-    def speed(s):
-        i = bisect_right(x, s, 1, inner) - 1
-        d = s - x[i]
-        for j, coefs in enumerate(pieces[i]):
-            res, z = 0.0, 1.0
-            for c in coefs:
-                res = res + c * z
-                z = z * d
-            v[j] = res
-        return math.sqrt(v.dot(v))
-
-    return speed
+# the 8-point Gauss-Legendre rule on [-1, 1], nodes and weights correctly
+# rounded (the eigen-decomposition of the Jacobi matrix; Golub & Welsch,
+# Math. Comp. 23, 1969); it integrates polynomials up to degree 15 exactly
+_HALF_NODES = np.array([0.1834346424956498, 0.525532409916329, 0.7966664774136267,
+                        0.9602898564975363])
+_HALF_WEIGHTS = np.array([0.362683783378362, 0.31370664587788727, 0.22238103445337448,
+                          0.10122853629037626])
+_GAUSS_NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
+_GAUSS_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 
 
 def _cumulative_arclength(dspline, grid):
     """Arclength from grid[0] to each grid point of the curve whose derivative is ``dspline``.
 
-    Each grid interval is one adaptive quadrature of the speed; the running
-    sum starts at 0.  The speed is ``_speed``: the bits of
-    ``float(np.linalg.norm(dspline(s)))`` at about a fifth of the cost, so
-    the tables equal those of ``quad`` over that expression exactly.  It
-    keeps numpy's ``ndarray.dot`` for the norm, because a hand-written sum of
-    squares rounds differently wherever BLAS fuses the multiply-add.
+    Each grid interval takes the 8-point Gauss-Legendre rule of the speed
+    |dspline|; the running sum starts at 0.
     """
-    from scipy.integrate import quad
-
-    speed = _speed(dspline)
-    tol = _ARCLENGTH_TOL / len(grid)
-    segments = [quad(speed, a, b, epsabs=tol, limit=200)[0] for a, b in zip(grid[:-1], grid[1:])]
-    return np.concatenate([[0.0], np.cumsum(segments)])
+    half = 0.5 * np.diff(grid)
+    nodes = (grid[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES
+    velocity = dspline(nodes)
+    speed = np.hypot(velocity[..., 0], velocity[..., 1])
+    return np.concatenate([[0.0], np.cumsum(half * (speed @ _GAUSS_WEIGHTS))])
 
 
 class HeadPath:
     """Arclength-parametrized planar curve built from sample points.
 
     The samples are interpolated by a cubic spline and reparametrized by
-    arclength with adaptive quadrature, so ``point(s)`` moves at unit speed
-    to within the quadrature tolerance.
+    arclength through a spline of the inverse map s -> tau, so ``point(s)``
+    moves at unit speed to within that interpolation's error.
     """
 
     def __init__(self, points):
-        from scipy.interpolate import CubicSpline
-
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or len(points) < 4:
             raise ValueError("head path needs at least 4 planar sample points")
@@ -103,10 +68,10 @@ class HeadPath:
         if np.max(np.abs(points)) * len(points) >= _MAX_EXTENT:
             raise ValueError(f"coordinates times samples must stay below {_MAX_EXTENT:g}")
         tau = np.linspace(0.0, 1.0, len(points))
-        self._spline = CubicSpline(tau, points, axis=0)
+        self._spline = cubic_spline(tau, points)
         self._dspline = self._spline.derivative()
         self.length = float(_cumulative_arclength(self._dspline, tau)[-1])
-        # dense inverse map s -> tau, refined by Newton on demand
+        # dense inverse map s -> tau
         dense_tau = np.linspace(0.0, 1.0, 16 * len(points))
         dense_s = _cumulative_arclength(self._dspline, dense_tau)
         self._dense_s_max = float(dense_s[-1])
@@ -114,7 +79,12 @@ class HeadPath:
             raise ValueError(
                 f"arclength must be finite and increasing, got length {self._dense_s_max!r}"
             )
-        self._inv = CubicSpline(dense_s, dense_tau)
+        # the inverse map's cubic coefficients grow as the inverse cube of
+        # the length, so a short enough path overflows them
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._inv = cubic_spline(dense_s, dense_tau)
+        if not np.all(np.isfinite(self._inv.c)):
+            raise ValueError(f"arclength {self._dense_s_max!r} is too short to invert")
 
     @classmethod
     def from_function(cls, func, t_span, n=200):
@@ -172,10 +142,8 @@ def frame_arclength(frame, s_grid):
     recovers the smooth curve's length far more accurately than the raw
     polyline sum.
     """
-    from scipy.interpolate import CubicSpline
-
     s_grid = np.asarray(s_grid, dtype=float)
-    dspline = CubicSpline(s_grid, frame, axis=0).derivative()
+    dspline = cubic_spline(s_grid, frame).derivative()
     return float(_cumulative_arclength(dspline, s_grid)[-1])
 
 
@@ -211,8 +179,6 @@ def sleigh_with_string(v0, omega0, L, t_span, stepper=None, n_string=50, record_
     initially straight string translating along the initial tangent.
     Returns (contact-point Trajectory, frames of string positions).
     """
-    from scipy.interpolate import CubicSpline
-
     if L <= 0:
         raise ValueError("string length must be positive")
     if v0 == 0:
@@ -227,32 +193,26 @@ def sleigh_with_string(v0, omega0, L, t_span, stepper=None, n_string=50, record_
     tangent0 = np.array([np.cos(full.column("theta")[0]), np.sin(full.column("theta")[0])])
     if v0 < 0:
         tangent0 = -tangent0
-    # smooth interpolants of the traversed track for the delayed replay
-    track_x = CubicSpline(full.times, x)
-    track_y = CubicSpline(full.times, y)
+    # a smooth interpolant of the traversed track for the delayed replay
+    track = cubic_spline(full.times, np.column_stack([x, y]))
     # every record_every-th step and the final one, as integrate records them
     keep = list(range(0, len(full.times), record_every))
     if keep[-1] != len(full.times) - 1:
         keep.append(len(full.times) - 1)
     out_times = full.times[keep]
     s_grid = np.linspace(0.0, L, n_string)
-    frames = []
-    for t in out_times:
-        delayed = t - s_grid / speed
-        on_track = delayed >= 0.0
-        zx = np.where(on_track, track_x(np.maximum(delayed, 0.0)), 0.0)
-        zy = np.where(on_track, track_y(np.maximum(delayed, 0.0)), 0.0)
-        behind = speed * t - s_grid  # negative track coordinate on the straight part
-        zx = np.where(on_track, zx, p0[0] + behind * tangent0[0])
-        zy = np.where(on_track, zy, p0[1] + behind * tangent0[1])
-        frames.append(np.column_stack([zx, zy]))
+    # one row per recorded time, one column per string point
+    delayed = out_times[:, None] - s_grid / speed
+    behind = speed * out_times[:, None] - s_grid  # negative track coordinate on the straight part
+    straight = p0 + behind[..., None] * tangent0
+    frames = np.where((delayed >= 0.0)[..., None], track(np.maximum(delayed, 0.0)), straight)
     traj = Trajectory(
         out_times,
         full.columns,
         full.states[keep],
         {k: v[keep] for k, v in full.ledger.items()},
     )
-    return traj, np.array(frames)
+    return traj, frames
 
 
 # ---------------------------------------------------------------------------

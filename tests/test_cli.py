@@ -151,6 +151,13 @@ class TestExitCodes:
         ("euler-suslov", {"flow": {"kind": "constrained", "A": [1, 0, 3],
                                    "constraints": [[0, 0, 1]]}, "m0": [1, 2, 0]},
          "SingularGram"),
+        # parallel constraint rows: singular whatever the rows' lengths
+        ("euler-suslov", {"flow": {"kind": "constrained", "A": [1, 2, 3],
+                                   "constraints": [[1, 0, 0], [2, 0, 0]]}, "m0": [1, 2, 0]},
+         "SingularGram"),
+        ("euler-suslov", {"flow": {"kind": "constrained", "A": [1, 2, 3],
+                                   "constraints": [[0, 0, 0]]}, "m0": [1, 2, 0]},
+         "SingularGram"),
     ])
     def test_numerical_failure_without_traceback(self, tmp_path, command, cfg, error):
         cfg = {"t_span": [0, 1.0], "dt": 1e-3, **cfg}
@@ -354,6 +361,8 @@ class TestExitCodes:
         ({"kind": "circle", "radius": 1e300}, "path.radius"),
         ({"kind": "line", "length": 5e-324}, "path.length"),
         ({"kind": "points", "points": [[0, 0], [1, float("nan")], [2, 0], [3, 1]]}, "path.points"),
+        # a finite arclength table whose inverse map's coefficients overflow
+        ({"kind": "circle", "radius": 1e-150}, "path.radius"),
     ])
     def test_degenerate_head_path_names_the_field(self, tmp_path, path, field):
         cfg = {**self.SNAKE, "path": path}
@@ -557,6 +566,38 @@ class TestSubcommands:
         })
         code, out, _ = run_cli(["euler-suslov", "--config", cfg, "--check"])
         assert code == EXIT_OK
+
+    def test_euler_suslov_short_constraint_row(self, tmp_path):
+        # the Gram matrix is judged on rows scaled to a largest entry of 1, so
+        # a short row is as good as a long one in the same direction
+        cfg = write_config(tmp_path, {
+            "flow": {"kind": "constrained", "A": [1.0, 2.0, 3.0],
+                     "constraints": [[1.0, 0.0, 0.0], [0.0, 1e-7, 0.0]]},
+            "m0": [0.0, 0.0, 1.0], "t_span": [0, 1.0], "dt": 1e-3, "record_every": 10,
+            "checks": [{"name": "constraint_max", "tol": 1e-12}],
+        })
+        code, _, err = run_cli(["euler-suslov", "--config", cfg, "--check"])
+        assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize("command, cfg", [
+        # three string points: every frame's spline is the parabola through them
+        ("snake", {"path": {"kind": "line", "samples": 8}, "t_grid": {"t0": 2.0, "t1": 5.0},
+                   "s_grid": {"length": 1.0, "samples": 3}}),
+        # the fewest head-path samples
+        ("snake", {"path": {"kind": "line", "samples": 4}, "t_grid": {"t0": 2.0, "t1": 5.0},
+                   "s_grid": {"length": 1.0}}),
+        # one shortened step: the track's spline has two knots, so it is the line
+        ("sleigh", {"v0": 1.0, "omega0": -10.0, "t_span": [0, 1e-12], "dt": 1e-3}),
+    ], ids=["snake-3-string-points", "snake-4-path-samples", "sleigh-2-track-knots"])
+    def test_smallest_spline_grids_run(self, tmp_path, command, cfg):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg),
+                                  "--out", str(out_dir), "--format", "csv"])
+        assert code == EXIT_OK and err == ""
+        json.loads(out)
+        tables = [np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                  for path in out_dir.glob("*.csv")]
+        assert tables and all(np.all(np.isfinite(t)) for t in tables)
 
     def test_binormal_run(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -2,6 +2,7 @@
 
 Each property evaluates a right-hand side once and never integrates:
 
+* the reduced skate conserves E = (rho^2 + omega^2)/2 + g x for every mu;
 * the regularized skate dissipates its extended energy at the rate
   -phi^2/alpha, and its closed-form accelerations agree with a linear solve
   of M(theta) acc = b;
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from nonholo.driving import axle_residuals, rig_distribution, rig_rhs, sine_control
 from nonholo.liealg import eps_rhs
-from nonholo.skate import regularized_energy_rate, regularized_rhs
+from nonholo.skate import reduced_energy_rate, regularized_energy_rate, regularized_rhs
 
 EPS = np.finfo(float).eps
 # rounding in the subnormal range is absolute, not relative
@@ -34,6 +35,20 @@ finite = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 states = lambda n, bound: st.lists(finite(-bound, bound), min_size=n, max_size=n)
 # log-uniform in [10^lo, 10^hi]
 scales = lambda lo, hi: finite(lo, hi).map(lambda e: 10.0**e)
+
+
+# ---------------------------------------------------------------------------
+# reduced skate
+
+
+@given(states(6, 10.0), finite(0.0, 10.0), scales(-3.0, 3.0))
+@SETTINGS
+def test_reduced_energy_is_conserved(s, g, mu):
+    x, y, theta, omega, rho, lam = s
+    gc = g * math.cos(theta)
+    # the rate's three terms: rho (-g cos + lam omega), -omega lam rho, g rho cos
+    scale = abs(rho) * (abs(gc) + abs(lam * omega)) + abs(omega * lam * rho) + abs(gc * rho)
+    assert abs(reduced_energy_rate(s, g, mu)) <= 4 * EPS * scale + TINY
 
 
 # ---------------------------------------------------------------------------

@@ -237,12 +237,22 @@ def _rel_drift(series):
 # ---------------------------------------------------------------------------
 # subcommand runners: each takes a config read through SCHEMAS[command] and
 # returns (summary dict, check values dict, artifacts)
-# artifacts: list of (filename, bytes, format-tag)
+# artifacts: list of (filename, write, format-tag); write(fh) streams the
+# artifact to a binary file, and only requested formats are ever written
+
+
+def _writer(write, *args):
+    """An artifact's write(fh): ``write(fh, *args)``."""
+    return lambda fh: write(fh, *args)
+
+
+def _json_writer(value, end=""):
+    return lambda fh: fh.write((json.dumps(value, indent=1, allow_nan=False) + end).encode("ascii"))
 
 
 def _traj_artifacts(traj, stem, title, cols=("x", "y")):
-    return [(f"{stem}.csv", trajectory.to_csv(traj), "csv"),
-            (f"{stem}.svg", trajectory.to_svg(traj, *cols, title=title), "svg")]
+    return [(f"{stem}.csv", _writer(trajectory.write_traj_csv, traj), "csv"),
+            (f"{stem}.svg", _writer(trajectory.write_traj_svg, traj, *cols, title), "svg")]
 
 
 def _traj_summary(traj):
@@ -372,8 +382,8 @@ def run_flag(cfg, rng):
         "reports": [r.as_dict() for r in reports[:3]],
     }
     values = {"non_goursat_points": float(non_goursat)}
-    data = json.dumps([r.as_dict() for r in reports], indent=1).encode("ascii")
-    return summary, values, [(f"flag-{kind}.json", data, "json")]
+    arts = [(f"flag-{kind}.json", _json_writer([r.as_dict() for r in reports]), "json")]
+    return summary, values, arts
 
 
 def _head_path(spec):
@@ -428,9 +438,10 @@ def run_snake(cfg, rng):
         "head_path_length": head.length,
         "unit_speed_deviation": head.unit_speed_deviation(),
     }
-    arts = [(f"snake-frame-{i:04d}.csv", snake.frame_to_csv(fr, s_grid), "csv")
+    arts = [(f"snake-frame-{i:04d}.csv", _writer(snake.write_frame_csv, fr, s_grid), "csv")
             for i, fr in enumerate(frames)]
-    arts.append(("snake-timelapse.svg", snake.timelapse_svg(frames, title="string"), "svg"))
+    arts.append(("snake-timelapse.svg", _writer(snake.write_timelapse_svg, frames, "string"),
+                 "svg"))
     return summary, values, arts
 
 
@@ -456,9 +467,10 @@ def run_sleigh(cfg, rng):
     summary["string_points"] = n_string
     arts = _traj_artifacts(traj, "sleigh", "contact point")
     s_grid = np.linspace(0.0, L, n_string)
-    arts += [(f"sleigh-frame-{i:04d}.csv", snake.frame_to_csv(fr, s_grid), "csv")
+    arts += [(f"sleigh-frame-{i:04d}.csv", _writer(snake.write_frame_csv, fr, s_grid), "csv")
              for i, fr in enumerate(frames)]
-    arts.append(("sleigh-timelapse.svg", snake.timelapse_svg(frames, title="dragged string"), "svg"))
+    arts.append(("sleigh-timelapse.svg",
+                 _writer(snake.write_timelapse_svg, frames, "dragged string"), "svg"))
     return summary, values, arts
 
 
@@ -504,7 +516,8 @@ def run_heisenberg(cfg, rng):
             for c in ("mom_x", "mom_y", "mom_z")
         ),
     }
-    return _grid_summary(traj, n=n), values, [("spin-chain.csv", trajectory.to_csv(traj), "csv")]
+    arts = [("spin-chain.csv", _writer(trajectory.write_traj_csv, traj), "csv")]
+    return _grid_summary(traj, n=n), values, arts
 
 
 def run_binormal(cfg, rng):
@@ -513,7 +526,8 @@ def run_binormal(cfg, rng):
     traj = loopgroup.integrate_binormal(gamma0, *_horizon(cfg, gamma0.size),
                                         record_every=cfg["record_every"])
     values = {"length_rel_drift": _rel_drift(traj.ledger["length"])}
-    return _grid_summary(traj, n=n), values, [("filament.csv", trajectory.to_csv(traj), "csv")]
+    arts = [("filament.csv", _writer(trajectory.write_traj_csv, traj), "csv")]
+    return _grid_summary(traj, n=n), values, arts
 
 
 def run_camassa_holm(cfg, rng):
@@ -525,7 +539,7 @@ def run_camassa_holm(cfg, rng):
         "mean_abs": float(np.max(np.abs(traj.ledger["mean_u"]))),
         "energy_rel_drift": _rel_drift(traj.ledger["energy"]),
     }
-    arts = [("shallow-water.csv", trajectory.to_csv(traj), "csv")]
+    arts = [("shallow-water.csv", _writer(trajectory.write_traj_csv, traj), "csv")]
     return _grid_summary(traj, n=n, kappa=kappa), values, arts
 
 
@@ -534,8 +548,10 @@ def run_odd_fluid(cfg, rng):
     eta, gamma = cfg["eta_H"], cfg["Gamma_H"]
     params = oddfluid.FluidParams(
         eos=(eos["kind"], eos["c"] if eos["kind"] == "isothermal" else eos["kappa"]),
-        eta_H=lambda rho: eta + 0.0 * rho,
-        Gamma_H=lambda rho: gamma + 0.0 * rho,
+        # constant coefficients; + 0.0 turns a configured -0.0 into 0.0, as the
+        # jet of eta + 0.0 * rho did
+        eta_H=eta + 0.0,
+        Gamma_H=gamma + 0.0,
         **{key: cfg[key] for key in ("mu", "nu") if key in cfg},
     )
     start = {key: _sampled(n, spec, "kx", "ky") for key, spec in cfg["initial"].items()}
@@ -556,8 +572,8 @@ def run_odd_fluid(cfg, rng):
     summary["system"] = system
     last = frames[-1]
     final = {"rho": last.rho, "vx": last.v[0], "vy": last.v[1], "ell": last.ell}
-    arts = [("fluid-ledger.csv", trajectory.to_csv(traj), "csv")]
-    arts += [(f"fluid-final-{key}.csv", trajectory.csv_bytes([], field), "csv")
+    arts = [("fluid-ledger.csv", _writer(trajectory.write_traj_csv, traj), "csv")]
+    arts += [(f"fluid-final-{key}.csv", _writer(trajectory.write_csv, [], [field]), "csv")
              for key, field in final.items() if field is not None]
     return summary, values, arts
 
@@ -580,9 +596,9 @@ def run_burgers(cfg, rng):
         "potential_gap": gap,
     }
     summary = _traj_summary(traj)
-    arts = [("advection-ledger.csv", trajectory.to_csv(traj), "csv"),
-            ("advection-final-ux.csv", trajectory.csv_bytes([], u_frames[-1][0]), "csv"),
-            ("advection-final-uy.csv", trajectory.csv_bytes([], u_frames[-1][1]), "csv")]
+    arts = [("advection-ledger.csv", _writer(trajectory.write_traj_csv, traj), "csv")]
+    arts += [(f"advection-final-{key}.csv", _writer(trajectory.write_csv, [], [u]), "csv")
+             for key, u in zip(("ux", "uy"), u_frames[-1])]
     return summary, values, arts
 
 
@@ -767,16 +783,21 @@ def _non_finite_key(value, key=""):
     return None
 
 
-def _write_artifacts(arts, out_dir, formats):
-    written = []
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, data, tag in arts:
-        if tag in formats:
-            path = out / name
-            path.write_bytes(data)
-            written.append(str(path))
-    return written
+def _write_artifacts(arts, out_dir, formats, written):
+    """Stream each artifact whose format is in ``formats`` to its file in
+    ``out_dir``, appending its path to ``written`` once it is complete."""
+    path = Path(out_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for name, write, tag in arts:
+            if tag in formats:
+                path = Path(out_dir) / name
+                with path.open("wb") as fh:
+                    write(fh)
+                written.append(str(path))
+    except OSError as exc:
+        raise ConfigError(f"config key '--out' gives a path that cannot be written: "
+                          f"{str(path)!r}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None):
@@ -798,16 +819,21 @@ def main(argv=None):
         # would only repeat, on stderr, a failure that is reported anyway
         with np.errstate(all="ignore"):
             summary, values, arts = RUNNERS[args.command](cfg, rng)
-        check_results = _evaluate_checks(cfg["checks"], values)
-        report = {
-            "command": args.command,
-            "summary": summary,
-            "values": values,
-            "checks": check_results,
-        }
-        key = _non_finite_key(report)
-        if key is not None:
-            raise errors.NonFinite(f"non-finite value of {key!r} in the report")
+            check_results = _evaluate_checks(cfg["checks"], values)
+            report = {
+                "command": args.command,
+                "summary": summary,
+                "values": values,
+                "checks": check_results,
+            }
+            key = _non_finite_key(report)
+            if key is not None:
+                raise errors.NonFinite(f"non-finite value of {key!r} in the report")
+            if args.out is not None:
+                # summary.json comes last and lists the artifacts written before it
+                report["outputs"] = []
+                arts.append(("summary.json", _json_writer(report, end="\n"), "json"))
+                _write_artifacts(arts, args.out, formats, report["outputs"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -815,12 +841,6 @@ def main(argv=None):
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    if args.out is not None:
-        report["outputs"] = _write_artifacts(arts, args.out, formats)
-        if "json" in formats:
-            path = Path(args.out) / "summary.json"
-            path.write_text(json.dumps(report, indent=1, allow_nan=False) + "\n")
-            report["outputs"].append(str(path))
     print(json.dumps(report, indent=1, allow_nan=False))
 
     failed = [c["name"] for c in check_results if not c["pass"]]

@@ -29,8 +29,11 @@ def coefficient_and_derivative(f, rho):
     ``f`` is called once, on a degree-1 jet in rho whose coefficient array
     has the grid as leading axes, so it must be built from ``+ - * /`` and
     integer ``**`` (a polynomial or rational function of rho).  A result that
-    is not a jet is a constant.
+    is not a jet is a constant.  A float ``f`` is that constant itself: it
+    gives ``(f, 0.0)``, which broadcast against the grid as the planes would.
     """
+    if isinstance(f, float):
+        return f, 0.0
     rho = np.asarray(rho, dtype=float)
     # coefficient k is coef[..., k], stored as contiguous planes: elementwise
     # jet operations keep that layout, so no step strides through the grid
@@ -49,6 +52,8 @@ class FluidParams:
     ``eos`` is ("isothermal", c) with internal energy c^2 rho (ln rho - 1)
     or ("polytropic2", kappa) with kappa rho^2; both give positive pressure
     on positive densities (c^2 rho and kappa rho^2 respectively).
+    ``eta_H`` and ``Gamma_H`` are functions of rho (see
+    ``coefficient_and_derivative``) or floats, for constant coefficients.
     """
 
     eos: tuple = ("isothermal", 1.0)

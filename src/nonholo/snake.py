@@ -21,7 +21,7 @@ import numpy as np
 from nonholo.errors import DomainExceeded
 from nonholo.numkit import cubic_spline
 from nonholo.skate import integrate_skate, initial_reduced
-from nonholo.trajectory import Trajectory, csv_bytes, svg_bytes
+from nonholo.trajectory import Trajectory, write_csv, write_svg
 
 # bound on samples x largest coordinate: spline slopes and arclengths grow
 # with that product, and must stay finite through the solve and the tables
@@ -219,16 +219,16 @@ def sleigh_with_string(v0, omega0, L, t_span, stepper=None, n_string=50, record_
 # export helpers
 
 
-def frame_to_csv(frame, s_grid=None):
-    """One string frame as CSV bytes with columns s,x,y."""
+def write_frame_csv(fh, frame, s_grid=None):
+    """Write one string frame as CSV with columns s,x,y to the binary file fh."""
     frame = np.asarray(frame, dtype=float).reshape(-1, 2)
     if s_grid is None:
         s_grid = np.arange(len(frame), dtype=float)
-    return csv_bytes(["s", "x", "y"], np.column_stack([s_grid, frame]))
+    write_csv(fh, ["s", "x", "y"], [s_grid, frame])
 
 
-def timelapse_svg(frames, title=None):
-    """All frames overlaid on one equal-aspect canvas, fading with age."""
+def write_timelapse_svg(fh, frames, title=None):
+    """Write all frames overlaid on one equal-aspect canvas, fading with age."""
     nf = len(frames)
     styles = [f' stroke-opacity="{0.15 + 0.85 * (i + 1) / nf:.3f}"' for i in range(nf)]
-    return svg_bytes(frames, title, styles=styles)
+    write_svg(fh, frames, title, styles=styles)

@@ -1,14 +1,18 @@
 """Tests for the command-line front end: configs, presets, exit codes, outputs."""
 
 import io
+import errno
 import json
 import contextlib
+import os
+import pathlib
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from nonholo import snake, trajectory
 from nonholo.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -480,6 +484,11 @@ class TestExitCodes:
         assert f"config key {field!r}" in err and "Traceback" not in err
 
 
+# a sleigh run with a trajectory CSV and SVG, three frame CSVs and a time-lapse SVG
+SHORT_SLEIGH = {"v0": 1.0, "omega0": -10.0, "L": 1.0, "n_string": 5,
+                "t_span": [0.0, 0.2], "dt": 1e-2, "record_every": 10}
+
+
 class TestArtifacts:
     def test_skate_outputs(self, tmp_path):
         out_dir = tmp_path / "art"
@@ -515,6 +524,72 @@ class TestArtifacts:
         names = sorted(p.name for p in out_dir.iterdir())
         assert "sleigh-timelapse.svg" in names
         assert any(n.startswith("sleigh-frame-") and n.endswith(".csv") for n in names)
+
+    def test_summary_lists_the_outputs_written_before_it(self, tmp_path):
+        out_dir = tmp_path / "o"
+        code, out, _ = run_cli(["sleigh", "--config", write_config(tmp_path, SHORT_SLEIGH),
+                                "--out", str(out_dir), "--format", "csv,svg,json"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        names = [pathlib.Path(p).name for p in report["outputs"]]
+        assert names == ["sleigh.csv", "sleigh.svg", "sleigh-frame-0000.csv",
+                         "sleigh-frame-0001.csv", "sleigh-frame-0002.csv",
+                         "sleigh-timelapse.svg", "summary.json"]
+        written = {**report, "outputs": report["outputs"][:-1]}
+        assert (out_dir / "summary.json").read_bytes() == \
+            (json.dumps(written, indent=1) + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("with_out", [True, False], ids=["json-only", "no-out"])
+    def test_unrequested_formats_are_never_rendered(self, tmp_path, monkeypatch, with_out):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unrequested CSV or SVG was rendered")
+
+        for module in (trajectory, snake):
+            monkeypatch.setattr(module, "write_csv", refuse)
+            monkeypatch.setattr(module, "write_svg", refuse)
+        out_dir = tmp_path / "o"
+        argv = ["sleigh", "--config", write_config(tmp_path, SHORT_SLEIGH)]
+        if with_out:
+            argv += ["--format", "json", "--out", str(out_dir)]
+        code, _, err = run_cli(argv)
+        assert code == EXIT_OK and err == ""
+        if with_out:
+            assert [p.name for p in out_dir.iterdir()] == ["summary.json"]
+        else:
+            assert not out_dir.exists()
+
+    def test_an_svg_of_huge_coordinates_prints_no_warning(self, tmp_path):
+        # the map's centre x.min() + x.max() overflows while writing the SVG
+        cfg = {"system": "lda", "g": 1.0, "initial": {"x": 1.7e308}, "t_span": [0.0, 0.01]}
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(["skate", "--config", write_config(tmp_path, cfg),
+                                "--out", str(out_dir)])
+        assert code == EXIT_OK and err == ""
+        assert (out_dir / "skate-lda.svg").read_bytes().endswith(b"</svg>")
+
+    @pytest.mark.parametrize("where", ["under-a-file", "artifact-is-a-directory", "read-only"])
+    def test_an_unwritable_out_is_a_config_error(self, tmp_path, monkeypatch, where):
+        out_dir = tmp_path / "o"
+        if where == "under-a-file":
+            out_dir.write_text("")
+            out_dir = out_dir / "sub"
+            culprit = out_dir
+        elif where == "artifact-is-a-directory":
+            culprit = out_dir / "skate-reduced.svg"
+            culprit.mkdir(parents=True)
+        else:
+            out_dir.mkdir()
+            out_dir.chmod(0o555)
+            culprit = out_dir / "skate-reduced.csv"
+            if os.access(out_dir, os.W_OK):  # a privileged user: refuse as the OS would
+                def refuse(path, *args, **kwargs):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+                monkeypatch.setattr(pathlib.Path, "open", refuse)
+        code, out, err = run_cli(["skate", "--preset", "fig1a", "--out", str(out_dir)])
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("config error: config key '--out' ") and err.count("\n") == 1
+        assert repr(str(culprit)) in err
 
 
 class TestSubcommands:

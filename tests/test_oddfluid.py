@@ -64,6 +64,18 @@ def test_coefficient_derivative_exact():
         assert np.array_equal(val, np.full_like(r, 1.5)) and np.array_equal(der, np.zeros_like(r))
 
 
+@pytest.mark.parametrize("eta, gamma", [(0.1, 0.3), (-0.0, -0.0), (-0.2, 0.0)])
+def test_float_coefficients_match_their_constant_functions_bit_for_bit(eta, gamma):
+    assert coefficient_and_derivative(eta, np.ones(3)) == (eta, 0.0)
+    state = smooth_state(16, with_ell=True)
+    floats = FluidParams(eta_H=eta + 0.0, Gamma_H=gamma + 0.0, mu=2.0, nu=0.5)
+    jets = FluidParams(eta_H=lambda r: eta + 0.0 * r, Gamma_H=lambda r: gamma + 0.0 * r,
+                       mu=2.0, nu=0.5)
+    for rhs in (base_rhs, effective_rhs, extended_rhs):
+        for a, b in zip(rhs(state, floats), rhs(state, jets)):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_equations_of_state_pressure():
     r = np.linspace(0.5, 2.0, 5)
     iso = FluidParams(eos=("isothermal", 2.0))

@@ -8,7 +8,10 @@ Each property evaluates a right-hand side once and never integrates:
   of M(theta) acc = b;
 * the constrained (Suslov) flow keeps every pairing <a_i, A^{-1} m> fixed,
   and agrees with the flow whose multipliers are solved at each call;
-* a rig's velocity meets every axle's no-sideslip constraint.
+* a rig's velocity meets every axle's no-sideslip constraint;
+* the spin flow L x L'' is orthogonal to L, and the filament flow
+  gamma_s x gamma_ss to the tangent gamma_s, at every node of a random
+  band-limited loop.
 
 Each tolerance is a multiple of the float64 epsilon times the scale of the
 terms that cancel (times the condition number where a solve is involved).
@@ -24,6 +27,8 @@ from hypothesis import strategies as st
 
 from nonholo.driving import axle_residuals, rig_distribution, rig_rhs, sine_control
 from nonholo.liealg import eps_rhs
+from nonholo.loopgroup import binormal_rhs, ll_rhs
+from nonholo.numkit import spectral_derivative
 from nonholo.skate import reduced_energy_rate, regularized_energy_rate, regularized_rhs
 
 EPS = np.finfo(float).eps
@@ -151,3 +156,50 @@ def test_rig_velocity_meets_every_axle_constraint(rig, l, q, steer, controls, t)
         q[-1] = steer  # inside the open chart interval (-pi/4, pi/4)
     qdot = rig_rhs(dist, sine_control(*controls))(t, q)
     assert np.all(np.abs(axle_residuals(kind, n, q, qdot, l)) <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# spin chain and vortex filament
+
+
+@st.composite
+def loops(draw):
+    """A random band-limited loop of n = 16 or 32 nodes in R^3: modes up to
+    n // 3, so no product in the rhs is aliased, and a log-uniform scale."""
+    n = draw(st.sampled_from([16, 32]))
+    modes = draw(st.integers(1, n // 3))
+    coef = np.reshape(draw(states(3 * (2 * modes + 1), 1.0)), (2 * modes + 1, 3))
+    theta = np.arange(n) * (2.0 * np.pi / n)
+    k = np.arange(1, modes + 1)
+    basis = np.hstack([np.ones((n, 1)), np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))])
+    return draw(scales(-3.0, 3.0)) * (basis @ coef)
+
+
+def cross_terms(a, b):
+    """|a_j b_k| + |a_k b_j|, the two products that component i of a x b subtracts."""
+    out = np.empty(a.shape)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out[:, i] = np.abs(a[:, j] * b[:, k]) + np.abs(a[:, k] * b[:, j])
+    return out
+
+
+def orthogonality_bound(u, a, b):
+    """Rounding bound on u . (a x b) per node, for u . (a x b) = 0 exactly."""
+    return 4 * EPS * np.sum(np.abs(u) * cross_terms(a, b), axis=1) + TINY
+
+
+@given(loops())
+@SETTINGS
+def test_spin_flow_is_orthogonal_to_the_spin(L):
+    L2 = spectral_derivative(L, order=2, length=2.0 * np.pi, axis=0)
+    dot = np.sum(L * ll_rhs(L), axis=1)
+    assert np.all(np.abs(dot) <= orthogonality_bound(L, L, L2))
+
+
+@given(loops(), scales(-1.0, 1.0))
+@SETTINGS
+def test_filament_flow_is_orthogonal_to_the_tangent(gamma, length):
+    g1 = spectral_derivative(gamma, order=1, length=length, axis=0)
+    g2 = spectral_derivative(gamma, order=2, length=length, axis=0)
+    dot = np.sum(g1 * binormal_rhs(gamma, length), axis=1)
+    assert np.all(np.abs(dot) <= orthogonality_bound(g1, g1, g2))

@@ -15,11 +15,12 @@ from nonholo.snake import (
     _cumulative_arclength,
     collinearity_residual,
     frame_arclength,
-    frame_to_csv,
     sleigh_with_string,
     snake_evolve,
-    timelapse_svg,
+    write_frame_csv,
+    write_timelapse_svg,
 )
+from nonholo.trajectory import render
 
 
 def _circle_path(radius=0.5, length=12.0, n=400):
@@ -343,7 +344,7 @@ class TestSleighWithString:
 class TestExport:
     def test_frame_csv_roundtrip(self):
         frame = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]])
-        data = frame_to_csv(frame, np.array([0.0, 1.0, 2.0])).decode("ascii")
+        data = render(write_frame_csv, frame, np.array([0.0, 1.0, 2.0])).decode("ascii")
         lines = data.strip().split("\n")
         assert lines[0] == "s,x,y"
         assert len(lines) == 4
@@ -352,7 +353,7 @@ class TestExport:
 
     def test_timelapse_svg_structure(self):
         frames = np.random.default_rng(0).normal(size=(5, 10, 2))
-        svg = timelapse_svg(frames, title="demo")
+        svg = render(write_timelapse_svg, frames, title="demo")
         text = svg.decode("ascii") if isinstance(svg, bytes) else svg
         assert text.startswith("<svg") or "<svg" in text
         assert text.count("<polyline") == 5

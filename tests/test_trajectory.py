@@ -7,9 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonholo import trajectory
 from nonholo.errors import NonFinite, UnknownColumn
-from nonholo.snake import frame_to_csv, timelapse_svg
-from nonholo.trajectory import Trajectory, to_csv, to_svg
+from nonholo.snake import write_frame_csv, write_timelapse_svg
+from nonholo.trajectory import Trajectory, render, to_csv, to_svg, write_csv
+
+
+def frame_to_csv(frame, s_grid=None):
+    return render(write_frame_csv, frame, s_grid)
+
+
+def timelapse_svg(frames, title=None):
+    return render(write_timelapse_svg, frames, title)
 
 
 def _sample():
@@ -231,3 +240,48 @@ class TestBytesAgainstPerValueWriters:
         traj = Trajectory(np.arange(len(finite), dtype=float), ["x", "y"], finite)
         assert to_svg(traj, "x", "y") == ref_to_svg(traj, "x", "y")
         assert b"nan" not in to_svg(traj, "x", "y")
+
+
+# ---------------------------------------------------------------------------
+# the chunked writers against one-shot formatting of the whole block or curve
+
+CHUNK = trajectory._CHUNK_ROWS
+
+
+@st.composite
+def laid_out_blocks(draw):
+    """A block of special, subnormal, huge and signed values, a row count on
+    each side of the chunk boundaries, and the block cut into 1-D and 2-D
+    columns as a writer's caller lays them side by side."""
+    rows = draw(st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]))
+    width = draw(st.integers(1, 400))
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = pool[rng.integers(len(pool), size=(rows, width))]
+    block *= rng.choice([-1.0, 1.0], size=block.shape)
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, width - 1)), max_size=4)) - {width})
+    columns = [c[:, 0] if c.shape[1] == 1 and draw(st.booleans()) else c
+               for c in np.split(block, cuts, axis=1)]
+    return block, columns
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestChunkedWriters:
+    @settings(max_examples=30, deadline=None)
+    @given(laid_out_blocks(), st.booleans())
+    def test_write_csv_equals_one_shot_formatting(self, laid_out, with_header):
+        block, columns = laid_out
+        header = [f"c{j}" for j in range(block.shape[1])] if with_header else []
+        line = b",".join([b"%.17g"] * block.shape[1]) + b"\n"
+        expected = b"".join(line % tuple(row) for row in block)
+        if header:
+            expected = ",".join(header).encode("ascii") + b"\n" + expected
+        assert render(write_csv, header, columns) == expected
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_svg_points_across_chunks(self, n):
+        rng = np.random.default_rng(n)
+        traj = Trajectory(np.arange(n, dtype=float), ["x", "y"], rng.normal(size=(n, 2)))
+        assert to_svg(traj, "x", "y", "demo") == ref_to_svg(traj, "x", "y", "demo")
+        frames = rng.normal(size=(3, n, 2))
+        assert timelapse_svg(frames) == ref_timelapse_svg(frames)

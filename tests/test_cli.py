@@ -186,6 +186,25 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL and out == ""
         assert err.startswith("numerical failure: NonFinite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        # the density starts at 0.5 and is driven out of the trough by the flow
+        ("odd-fluid", {"system": "base", "n": 16, "eos": {"kind": "polytropic2", "kappa": 0.01},
+                       "initial": {"rho": {"mean": 1.0, "modes": [{"kx": 1, "ky": 0, "cos": 0.5}]},
+                                   "vx": {"modes": [{"kx": 1, "ky": 0, "sin": -3.0}]}},
+                       "t_span": [0, 1.0]},
+         "NegativeDensity: density fell to "),
+        # the first rhs is finite; the products of its first stage overflow
+        ("burgers", {"n": 16, "potential": {"modes": [{"kx": 1, "ky": 0, "cos": 1e153},
+                                                      {"kx": 0, "ky": 1, "sin": 1e153}]},
+                     "t_span": [0, 0.1]},
+         "NonFinite: blow-up in the advection derivative"),
+    ], ids=["odd-fluid-floor", "burgers-overflow"])
+    def test_a_failure_during_the_run_is_one_line(self, tmp_path, command, cfg, message):
+        # run_cli appends each warning raised to stderr, so one line means none was
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, {"dt": 1e-3, **cfg})])
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("numerical failure: " + message) and err.count("\n") == 1
+
     def test_a_non_finite_report_value_is_a_numerical_failure(self, tmp_path):
         # the state stays finite while the circle fit squares overflow
         cfg = {"system": "lda", "g": 0, "initial": {"x": 1e160}, "t_span": [0, 0.01],

@@ -16,6 +16,7 @@ from nonholo.numkit.spectral import (
     forward,
     helmholtz_inverse,
     helmholtz_symbol,
+    in_blocks,
     inverse,
     table,
 )
@@ -61,10 +62,12 @@ def mean_value(f):
 
 
 def h1_energy(m, u=None):
-    """E = 1/2 integral (u^2 + u_x^2) dx = 1/2 integral u m dx, u = helmholtz_inverse(m)."""
+    """E = 1/2 integral (u^2 + u_x^2) dx = 1/2 integral u m dx, u = helmholtz_inverse(m),
+    of a field or of each field of a stack along the last axis."""
     m = np.asarray(m, dtype=float)
     u = helmholtz_inverse(m) if u is None else u
-    return 0.5 * float(np.sum(u * m)) * TWO_PI / len(m)
+    energy = 0.5 * np.sum(u * m, axis=-1) * TWO_PI / m.shape[-1]
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def integrate_ch(m0, kappa, t_span, stepper, record_every=1):
@@ -76,11 +79,12 @@ def integrate_ch(m0, kappa, t_span, stepper, record_every=1):
         return ch_rhs(m, kappa)
 
     times, states = integrate(rhs, m0, t_span, stepper, record_every=record_every)
-    us = [helmholtz_inverse(m) for m in states]
-    ledger = {
-        "mean_u": np.array([mean_value(u) for u in us]),
-        "energy": np.array([h1_energy(m, u) for m, u in zip(states, us)]),
-    }
+    def mean_and_energy(ms):
+        us = helmholtz_inverse(ms)
+        return np.stack([np.mean(us, axis=-1), h1_energy(ms, us)], axis=-1)
+
+    rows = in_blocks(mean_and_energy, states)
+    ledger = {"mean_u": rows[:, 0], "energy": rows[:, 1]}
     cols = [f"m_{j}" for j in range(len(m0))]
     return Trajectory(
         times=times,

@@ -213,6 +213,12 @@ def _horizon(cfg, width, per_step=0):
     return (t0, t1), Stepper.rk4(dt)
 
 
+def _spectrum_width(n, fields):
+    """Floats in one record of ``fields`` n x n fields integrated on their half
+    spectra: n (n//2 + 1) complex modes each."""
+    return 2 * n * (n // 2 + 1) * fields
+
+
 def _sampled(n, spec, *axes):
     """Mean plus cos/sin modes of (k . x) on the [0, 2pi)^d grid with one axis per name."""
     x = np.arange(n) * (2.0 * np.pi / n)
@@ -560,7 +566,7 @@ def run_odd_fluid(cfg, rng):
     state0 = oddfluid.FluidState(rho=start["rho"], v=np.stack([start["vx"], start["vy"]]),
                                  ell=start.get("ell"))
     traj, frames = oddfluid.integrate_fluid(system, state0, params,
-                                            *_horizon(cfg, n * n * len(start)),
+                                            *_horizon(cfg, _spectrum_width(n, len(start))),
                                             record_every=cfg["record_every"])
     values = {"energy_rel_drift": _rel_drift(traj.ledger["H"])}
     if system == "extended":
@@ -582,7 +588,7 @@ def run_burgers(cfg, rng):
     n = cfg["n"]
     f0 = _sampled(n, cfg["potential"], "kx", "ky")
     u0 = masstransport.gradient(f0)
-    t_span, stepper = _horizon(cfg, f0.size + u0.size)  # u and f are recorded alike
+    t_span, stepper = _horizon(cfg, _spectrum_width(n, 3))  # u and f are recorded alike
     re = cfg["record_every"]
     traj, u_frames = masstransport.integrate_burgers(u0, t_span, stepper, record_every=re)
     _, f_frames = masstransport.integrate_hj(f0, t_span, stepper, record_every=re)

@@ -35,3 +35,8 @@ class JetTableTooLarge(ValueError):
 
 class UnknownColumn(KeyError):
     """A referenced trajectory column does not exist."""
+
+
+def at_time(t):
+    """' at t = <t>', naming the time of a failing evaluation, or '' when none is known."""
+    return "" if t is None else f" at t = {float(t)!r}"

@@ -10,7 +10,7 @@ import numpy as np
 
 from nonholo.errors import NonFinite
 from nonholo.numkit import integrate, spectral_derivative
-from nonholo.numkit.spectral import spectral_derivatives
+from nonholo.numkit.spectral import in_blocks, spectral_derivatives
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -46,9 +46,12 @@ def ll_rhs(L):
 
 
 def spin_energy(L):
-    """H = 1/2 integral |L'|^2 dtheta."""
-    Lp = spectral_derivative(L, order=1, length=TWO_PI, axis=0)
-    return 0.5 * float(np.sum(Lp * Lp)) * TWO_PI / len(L)
+    """H = 1/2 integral |L'|^2 dtheta of a loop (n, 3), or of each loop of a
+    stack (records, n, 3), from one transform of the stack."""
+    L = np.asarray(L, dtype=float)
+    Lp = spectral_derivative(L, order=1, length=TWO_PI, axis=-2)
+    energy = 0.5 * np.sum(Lp * Lp, axis=(-2, -1)) * TWO_PI / L.shape[-2]
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def spin_momentum(L):
@@ -82,7 +85,7 @@ def integrate_ll(L0, t_span, stepper, renormalize=False, record_every=1):
                               project=unit_rows if renormalize else None)
     loops = states.reshape(len(times), n, 3)
     ledger = {
-        "energy": np.array([spin_energy(L) for L in loops]),
+        "energy": in_blocks(spin_energy, loops),
         "norm_dev": np.array([unit_norm_deviation(L) for L in loops]),
     }
     mom = np.array([spin_momentum(L) for L in loops])

@@ -4,27 +4,41 @@ Gradient initial data stays gradient under u_t = -(u . grad) u for as long
 as the solution is smooth, and the potential then obeys
 f_t = -|grad f|^2 / 2 (mean-zero gauge).  The half factor is forced by
 differentiating the advection equation along u = grad f.
+
+Both equations are integrated on the half spectra of their fields.  Each
+spectral rhs takes the half spectrum of the state and returns the masked
+half spectrum of its time derivative, so every transform it makes is a
+pruned one (see ``nonholo.numkit.spectral``) and no field goes back and forth
+between the grid and the spectrum.  ``burgers_rhs`` and ``hj_rhs`` wrap the
+spectral rhs for fields on the grid.  The recorded spectra become grid
+frames one at a time.
 """
 
 import numpy as np
 
-from nonholo.errors import NonFinite
-from nonholo.numkit import dealias_2d, integrate
+from nonholo.errors import NonFinite, at_time
+from nonholo.numkit import integrate
 from nonholo.numkit.spectral import (
     PLANE,
+    Frames,
+    all_finite,
     check_grid,
     forward,
+    forward_pruned,
+    grid_of,
     inverse,
+    inverse_pruned,
+    kept,
     table,
     tail_fractions,
 )
 from nonholo.trajectory import Trajectory
 
 
-def _check_field(u, name):
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise NonFinite(f"{name} contains non-finite entries")
+def _check_field(u, name, t=None):
+    """``u`` (grid values or a half spectrum), refused unless every entry is finite."""
+    if not all_finite(u):
+        raise NonFinite(f"{name} contains non-finite entries{at_time(t)}")
     return u
 
 
@@ -46,45 +60,77 @@ def curl_2d(u):
     return _curl_from(forward(u, PLANE), u.shape[1:])
 
 
+def burgers_spectral_rhs(uh, t=None):
+    """Masked half spectrum of -(u . grad) u from the half spectrum ``uh`` of u;
+    ``t``, when given, is named in a failure."""
+    _check_field(uh, "velocity", t)
+    shape = grid_of(uh)
+    cols = kept(shape[1])
+    tab = table(shape)[:3, None, :, cols]
+    # the dealiased velocity ud and its dealiased gradients du[i] = D_i u
+    ud, *du = inverse_pruned(tab * uh[..., cols], shape[1])
+    out = np.zeros_like(uh)
+    out[..., cols] = tab[0] * forward_pruned(-(ud[0] * du[0] + ud[1] * du[1]))
+    if not all_finite(out):
+        raise NonFinite(f"blow-up in the advection derivative{at_time(t)}")
+    return out
+
+
+def hj_spectral_rhs(fh, t=None):
+    """Masked half spectrum of f_t = -|grad f|^2 / 2 with its mean mode zeroed
+    (gauge), from the half spectrum ``fh`` of f."""
+    _check_field(fh, "potential", t)
+    shape = grid_of(fh)
+    cols = kept(shape[1])
+    tab = table(shape)[:3, :, cols]
+    g = inverse_pruned(tab[1:3] * fh[..., cols], shape[1])  # dealiased gradient
+    out = np.zeros_like(fh)
+    out[..., cols] = tab[0] * forward_pruned(-0.5 * (g[0] ** 2 + g[1] ** 2))
+    out[0, 0] = 0.0
+    return out
+
+
 def burgers_rhs(u):
     """-(u . grad) u with dealiased products."""
-    u = _check_field(u, "velocity")
-    # the dealiased velocity ud and its dealiased gradients du[i] = D_i u
-    ud, *du = inverse(table(u.shape[1:])[:3, None] * forward(u, PLANE), PLANE)
-    out = -dealias_2d(ud[0] * du[0] + ud[1] * du[1])
-    if not np.all(np.isfinite(out)):
-        raise NonFinite("blow-up in the advection derivative")
-    return out
+    u = _check_field(np.asarray(u, dtype=float), "velocity")
+    return inverse(burgers_spectral_rhs(forward(u, PLANE)), PLANE)
 
 
 def hj_rhs(f):
     """f_t = -|grad f|^2 / 2, re-projected to zero mean (gauge)."""
-    f = _check_field(f, "potential")
-    g = inverse(table(f.shape)[1:3] * forward(f, PLANE), PLANE)  # dealiased gradient
-    out = -0.5 * dealias_2d(g[0] ** 2 + g[1] ** 2)
-    return out - np.mean(out)
+    f = _check_field(np.asarray(f, dtype=float), "potential")
+    return inverse(hj_spectral_rhs(forward(f, PLANE)), PLANE)
+
+
+def _integrate_spectrum(spectral_rhs, field0, t_span, stepper, record_every):
+    """(times, recorded half spectra, frames) of a field integrated on its half spectrum."""
+    check_grid(field0.shape[-2])
+    check_grid(field0.shape[-1])
+    spec0 = forward(field0, PLANE)
+
+    def rhs(t, y):
+        return spectral_rhs(y.view(complex).reshape(spec0.shape), t).view(float).ravel()
+
+    times, rows = integrate(rhs, spec0.view(float).ravel(), t_span, stepper,
+                            record_every=record_every)
+    specs = rows.view(complex).reshape((len(times),) + spec0.shape)
+    return times, specs, Frames(specs, lambda spec: inverse(spec, PLANE))
 
 
 def integrate_burgers(u0, t_span, stepper, record_every=1):
-    """Advect the velocity field; ledger records max |curl| and the tail alarm."""
-    u0 = _check_field(u0, "velocity")
+    """Advect the velocity field; ledger records max |curl| and the tail alarm.
+    Returns (Trajectory, frames)."""
+    u0 = _check_field(np.asarray(u0, dtype=float), "velocity")
     shape = u0.shape[1:]
-    check_grid(shape[0])
-    check_grid(shape[1])
-
-    def rhs(t, y):
-        return burgers_rhs(y.reshape((2,) + shape)).ravel()
-
-    times, rows = integrate(rhs, u0.ravel(), t_span, stepper, record_every=record_every)
-    frames = [r.reshape((2,) + shape) for r in rows]
-    ledger = {"curl_max": np.empty(len(frames)), "tail_fraction": np.empty(len(frames))}
-    for i, u in enumerate(frames):
-        uh = forward(u, PLANE)  # one transform serves the curl and the tail of both components
+    times, specs, frames = _integrate_spectrum(burgers_spectral_rhs, u0, t_span, stepper,
+                                               record_every)
+    ledger = {"curl_max": np.empty(len(times)), "tail_fraction": np.empty(len(times))}
+    states = np.empty((len(times), 3))
+    for i, uh in enumerate(specs):
+        u = frames[i]
         ledger["curl_max"][i] = np.max(np.abs(_curl_from(uh, shape)))
         ledger["tail_fraction"][i] = np.max(tail_fractions(uh))
-    states = np.array(
-        [[float(np.max(np.hypot(u[0], u[1]))), float(np.mean(u[0])), float(np.mean(u[1]))] for u in frames]
-    )
+        states[i] = np.max(np.hypot(u[0], u[1])), np.mean(u[0]), np.mean(u[1])
     traj = Trajectory(
         times=times,
         columns=["speed_max", "mean_ux", "mean_uy"],
@@ -96,22 +142,16 @@ def integrate_burgers(u0, t_span, stepper, record_every=1):
 
 def integrate_hj(f0, t_span, stepper, record_every=1):
     """Evolve the mean-zero potential; returns (Trajectory, frames)."""
-    f0 = _check_field(f0, "potential")
-    f0 = f0 - np.mean(f0)
-    shape = f0.shape
-    check_grid(shape[0])
-    check_grid(shape[1])
-
-    def rhs(t, y):
-        return hj_rhs(y.reshape(shape)).ravel()
-
-    times, rows = integrate(rhs, f0.ravel(), t_span, stepper, record_every=record_every)
-    frames = [r.reshape(shape) for r in rows]
-    ledger = {
-        "mean_f": np.array([float(np.mean(f)) for f in frames]),
-        "tail_fraction": np.array([float(tail_fractions(forward(f, PLANE))) for f in frames]),
-    }
-    states = np.array([[float(f.min()), float(f.max())] for f in frames])
+    f0 = _check_field(np.asarray(f0, dtype=float), "potential")
+    times, specs, frames = _integrate_spectrum(hj_spectral_rhs, f0 - np.mean(f0), t_span,
+                                               stepper, record_every)
+    ledger = {"mean_f": np.empty(len(times)), "tail_fraction": np.empty(len(times))}
+    states = np.empty((len(times), 2))
+    for i, fh in enumerate(specs):
+        f = frames[i]
+        ledger["mean_f"][i] = np.mean(f)
+        ledger["tail_fraction"][i] = tail_fractions(fh)
+        states[i] = f.min(), f.max()
     traj = Trajectory(
         times=times,
         columns=["f_min", "f_max"],

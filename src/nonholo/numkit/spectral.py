@@ -2,9 +2,10 @@
 half spectrum, Fourier-multiplier derivatives, 2/3-rule dealiasing, the
 Helmholtz inverse and the aliased-tail energy.
 
-This is the only module that transforms a field, and it calls only the real
-transforms (``rfft``/``irfft`` in 1-D, ``rfft2``/``irfft2`` in 2-D).  Grids are
-uniform with power-of-two sample counts; on a 1-D grid node j sits at
+This is the only module that transforms a field.  It calls the real
+transforms (``rfft``/``irfft`` in 1-D, ``rfft2``/``irfft2`` in 2-D) and, for
+the pruned 2-D pair, ``fft``/``ifft`` along axis -2 of a half spectrum.  Grids
+are uniform with power-of-two sample counts; on a 1-D grid node j sits at
 j * length / n, and 2-D fields live on [0, 2 pi)^2.  ``forward`` and
 ``inverse`` act along one axis (1-D) or over ``PLANE`` (2-D); other axes
 stack fields, so one call transforms them all.  Per grid one cached read-only
@@ -14,8 +15,19 @@ first-derivative multipliers, dealiased (i k M, the mask folded in) and plain
 and the dealiased field, and a product is dealiased by masking its spectrum
 once, together with any derivative taken of it.  Results agree with full
 complex transforms to round-off, not bit for bit.
+
+A 2-D spectrum that is only used masked needs only its ``kept`` columns
+kx <= n//3: ``forward_pruned`` runs the axis -2 pass of ``rfft2`` on those
+columns alone, and ``inverse_pruned`` runs the axis -2 pass of ``irfft2`` on
+them into a half spectrum whose other columns are zero (FFT pruning:
+Markel, IEEE Trans. Audio Electroacoust. 19(4), 1971; Sorensen and Burrus,
+IEEE Trans. Signal Process. 41(3), 1993).  Each 1-D transform sees the data
+the full pass gives it, so a pruned transform equals the full one on the
+kept columns bit for bit.  ``Frames`` turns recorded half spectra into grid
+fields one record at a time.
 """
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -108,10 +120,63 @@ def dealias_1d(values):
     return inverse(mask * forward(values, 0), 0)
 
 
-def dealias_2d(values):
-    """2/3-rule mask on the last two axes of a 2-D field or a stack of them."""
-    values = np.asarray(values, dtype=float)
-    return inverse(table(values.shape[-2:])[0] * forward(values, PLANE), PLANE)
+def kept(n):
+    """Half-spectrum columns 0..n//3 of an n-sample last axis that the 2/3 mask keeps."""
+    return slice(0, n // 3 + 1)
+
+
+def forward_pruned(values):
+    """``forward(values, PLANE)`` on the ``kept`` columns alone."""
+    return np.fft.fft(np.fft.rfft(values, axis=-1)[..., kept(values.shape[-1])], axis=-2)
+
+
+def inverse_pruned(spec, n):
+    """``inverse(spec, PLANE)`` of a half spectrum that is zero beyond the
+    ``kept`` columns ``spec`` of an n-sample last axis.
+
+    The column pass writes into a zeroed half spectrum: ``irfft`` also pads
+    a short input itself, but that path is slower, at 128^2 slower than the
+    full ``irfft2``."""
+    padded = np.zeros(spec.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    np.fft.ifft(spec, axis=-2, out=padded[..., : spec.shape[-1]])
+    return np.fft.irfft(padded, n=n, axis=-1)
+
+
+def all_finite(a):
+    """Whether every entry of a real array, or every part of a complex one,
+    is finite.  A complex array is read through its real view, which takes
+    half the time of a complex ``isfinite``."""
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a).view(float)
+    return bool(np.isfinite(a).all())
+
+
+def grid_of(spec):
+    """The 2-D grid (n0, n1) of fields whose half spectrum over ``PLANE`` is ``spec``."""
+    return spec.shape[-2], 2 * (spec.shape[-1] - 1)
+
+
+class Frames(Sequence):
+    """Grid fields of recorded half spectra, each made by ``make(spectrum)``
+    when it is indexed, so the records are never held twice."""
+
+    def __init__(self, specs, make):
+        self._specs, self._make = specs, make
+
+    def __len__(self):
+        return len(self._specs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._make(self._specs[i])
+
+
+def in_blocks(fn, records, rows=256):
+    """``fn`` of consecutive blocks of at most ``rows`` records, concatenated:
+    a ledger pass makes one kernel call per block, not per record, and its
+    temporaries stay a block in size."""
+    return np.concatenate([fn(records[i : i + rows]) for i in range(0, len(records), rows)])
 
 
 @lru_cache(maxsize=64)
@@ -123,9 +188,10 @@ def helmholtz_symbol(n):
 
 
 def helmholtz_inverse(m):
-    """u with u - u_xx = m on the 2 pi circle: multiplier 1/(1 + k^2)."""
+    """u with u - u_xx = m on the 2 pi circle (the last axis; others stack
+    fields): multiplier 1/(1 + k^2)."""
     m = np.asarray(m, dtype=float)
-    return inverse(forward(m) / helmholtz_symbol(len(m)))
+    return inverse(forward(m) / helmholtz_symbol(m.shape[-1]))
 
 
 def power(spec):

@@ -8,15 +8,33 @@ for any coefficient choice.  The extended system carries an intrinsic
 angular-momentum deviation field that relaxes at rate mu/nu and feeds back
 through a modified pressure and viscosity; the relaxation drains the
 extended energy at a rate proportional to the squared deviation.
+
+The systems are integrated on the half spectra of their fields:
+``spectral_rhs`` maps the half spectra of (rho, v[, dl]) to the masked half
+spectra of their time derivatives, and ``base_rhs``, ``effective_rhs`` and
+``extended_rhs`` wrap it for fields on the grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from nonholo.errors import NegativeDensity, NonFinite
-from nonholo.numkit import Jet, dealias_2d, integrate
-from nonholo.numkit.spectral import PLANE, check_grid, forward, inverse, power, table
+from nonholo.errors import NegativeDensity, NonFinite, at_time
+from nonholo.numkit import Jet, integrate
+from nonholo.numkit.spectral import (
+    PLANE,
+    Frames,
+    all_finite,
+    check_grid,
+    forward,
+    forward_pruned,
+    grid_of,
+    inverse,
+    inverse_pruned,
+    kept,
+    power,
+    table,
+)
 from nonholo.trajectory import Trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -156,81 +174,146 @@ def viscous_stress(eta_H, Gamma_H, ell, dv, mode):
     return T
 
 
-def stress_tensor(state, params, mode="base", dv=None, coefs=None):
-    """Full stress T_ij on the grid, shape (2, 2, nx, ny).
-
-    The velocity Jacobian ``dv`` and ``coefs`` = params.coefficients(rho)
-    are computed here unless the caller already has them.
-    """
-    _check_state(state.rho, state.v, state.ell)
-    if dv is None:
-        dv = velocity_jacobian(state.v)
-    if coefs is None:
-        coefs = params.coefficients(state.rho)
+def _stress(rho, ell, dv, params, mode, coefs):
+    """Full stress T_ij from the grid density (and deviation ``ell`` in the
+    extended mode), the plain velocity Jacobian ``dv`` and ``coefs`` =
+    params.coefficients(rho)."""
     eta, gam, ghat = coefs
-    p = params.pressure(state.rho)
+    p = params.pressure(rho)
     if mode == "base":
         T = viscous_stress(eta, gam, None, dv, "base")
-    elif mode == "extended":
-        if state.ell is None:
-            raise ValueError("extended stress needs the deviation field")
-        dl = state.ell
-        ell = dl - 2.0 * eta
-        nu = params.nu
-        p = p + dl * dl / (2.0 * nu) + (2.0 / nu) * ghat * dl
-        T = viscous_stress(eta, gam, ell, dv, "extended")
     else:
-        raise ValueError(f"unknown stress mode {mode!r}")
+        nu = params.nu
+        p = p + ell * ell / (2.0 * nu) + (2.0 / nu) * ghat * ell
+        T = viscous_stress(eta, gam, ell - 2.0 * eta, dv, "extended")
     T[0, 0] -= p
     T[1, 1] -= p
     return T
 
 
-def _rhs(state, params, mode):
-    """(rho_t, v_t) of the base or effective system, (rho_t, v_t, dl_t) of the
-    extended one.
+def stress_tensor(state, params, mode="base"):
+    """Full stress T_ij on the grid, shape (2, 2, nx, ny)."""
+    _check_state(state.rho, state.v, state.ell)
+    if mode not in ("base", "extended"):
+        raise ValueError(f"unknown stress mode {mode!r}")
+    if mode == "extended" and state.ell is None:
+        raise ValueError("extended stress needs the deviation field")
+    return _stress(state.rho, state.ell, velocity_jacobian(state.v), params, mode,
+                   params.coefficients(state.rho))
 
-    One forward transform of (rho, v[, dl]) gives their dealiased copies and
-    the plain and dealiased velocity Jacobians.  One transform of the stress
-    and the fluxes gives the stress divergence, the mass flux divergence and
-    the deviation source in spectral space; each product is masked once.
+
+def _stacked(first, rows, v):
+    """``first`` stacked over the products rows[i] * v[j] of table rows and the
+    velocity spectra, i-major."""
+    out = np.empty((len(first) + 2 * len(rows),) + first.shape[1:], dtype=complex)
+    out[: len(first)] = first
+    np.multiply(rows[:, None], v, out=out[len(first) :].reshape((len(rows),) + v.shape))
+    return out
+
+
+def outside_mask(spec, mode):
+    """Grid fields of the modes of ``spec`` that the 2/3 mask drops: rho [and
+    dl], then partial_i v_j.  Every rhs is masked, so along a trajectory these
+    stay those of the initial state."""
+    tab = table(grid_of(spec))
+    rest = np.where(tab[0] == 0.0, spec, 0.0)
+    raw = [0, 3] if mode == "extended" else [0]
+    return inverse(_stacked(rest[raw], tab[3:], rest[1:3]), PLANE)
+
+
+def _flux_spectra(spec, params, mode, t, rest):
+    """Pruned half spectra of the stress rows T_00, T_01, T_10, T_11, the mass
+    flux rho_d v_d and, extended, the deviation flux dl_d v_d and Gamma_hat
+    div v; with the dealiased grid fields rho_d, v_d[, dl_d] and D_i v_j."""
+    extended = mode == "extended"
+    shape = grid_of(spec)
+    cols = kept(shape[1])
+    tab = table(shape)
+    # the dealiased fields, then D_i v_j (table rows 1-2)
+    masked = tab[0, :, cols] * spec[..., cols]
+    phys = inverse_pruned(_stacked(masked, tab[1:3, :, cols], spec[1:3, :, cols]), shape[1])
+    rho_d, v_d = phys[0], phys[1:3]
+    # with the modes outside the mask added: rho [and dl] with every mode,
+    # which the pressure and the coefficients take, and partial_i v_j
+    rho = rho_d + rest[0]
+    if np.min(rho) <= DENSITY_FLOOR:
+        raise NegativeDensity(f"density fell to {np.min(rho):.3e}{at_time(t)}")
+    ell = phys[3] + rest[1] if extended else None
+    dv = (phys[len(spec) :] + rest[len(rest) - 4 :]).reshape((2, 2) + shape)
+    coefs = params.coefficients(rho)
+    div = dv[0, 0] + dv[1, 1]
+    flux = np.empty((9 if extended else 6,) + shape)
+    flux[:4] = _stress(rho, ell, dv, params, "extended" if extended else "base",
+                       coefs).reshape((4,) + shape)
+    if mode == "effective":
+        # relaxation-limit pressure shift on T_00 and T_11; the stress is only
+        # used dealiased
+        shift = -(8.0 / params.mu) * coefs[2] * div
+        flux[0] -= shift
+        flux[3] -= shift
+    np.multiply(rho_d, v_d, out=flux[4:6])
+    if extended:
+        np.multiply(phys[3], v_d, out=flux[6:8])
+        np.multiply(coefs[2], div, out=flux[8])
+    return forward_pruned(flux), phys
+
+
+def spectral_rhs(spec, params, mode, t=None, rest=None):
+    """Masked half spectra of (rho_t, v_t) of the base or effective system, or
+    of (rho_t, v_t, dl_t) of the extended one, stacked as ``spec`` stacks the
+    half spectra of (rho, v[, dl]); ``t``, when given, is named in a failure.
+    ``rest`` is ``outside_mask(spec, mode)``, computed here unless given.
+
+    One pruned inverse transform gives the dealiased fields and Jacobian;
+    with ``rest`` added they give the density (and deviation) with every
+    mode, which the pressure and the coefficients take, and the plain
+    velocity Jacobian.  One pruned forward transform of the stress and the
+    fluxes gives the stress divergence, the mass flux divergence and the
+    deviation source; each product is masked once.  The velocity's quotient
+    and advection terms take one more pruned pair.
     """
     extended = mode == "extended"
-    if extended and state.ell is None:
+    if not all_finite(spec[:3]):
+        raise NonFinite(f"fluid state contains non-finite entries{at_time(t)}")
+    if extended and not all_finite(spec[3]):
+        raise NonFinite(f"deviation field contains non-finite entries{at_time(t)}")
+    if rest is None:
+        rest = outside_mask(spec, mode)
+    fh, phys = _flux_spectra(spec, params, mode, t, rest)
+    shape = grid_of(spec)
+    cols = kept(shape[1])
+    tab = table(shape)
+    mask, dgrad = tab[0, :, cols], tab[1:3, :, cols]
+    out = np.zeros_like(spec)
+    out[0, :, cols] = -(dgrad[0] * fh[4] + dgrad[1] * fh[5])
+    if extended:
+        source = 2.0 * fh[8] + (params.mu / params.nu) * spec[3, :, cols]
+        out[3, :, cols] = -(dgrad[0] * fh[6] + dgrad[1] * fh[7]) - mask * source
+    div_T = inverse_pruned(dgrad[0] * fh[0:2] + dgrad[1] * fh[2:4], shape[1])  # D_i T_ij
+    rho_d, v_d, ddv = phys[0], phys[1:3], phys[len(spec) :].reshape((2, 2) + shape)
+    accel = div_T / rho_d - (v_d[0] * ddv[0] + v_d[1] * ddv[1])
+    out[1:3, :, cols] = mask * forward_pruned(accel)
+    return out
+
+
+def _fields(state, mode):
+    """(rho, v_0, v_1[, dl]) of ``state`` stacked, as ``mode`` evolves them."""
+    if mode not in ("base", "effective", "extended"):
+        raise ValueError(f"unknown fluid system {mode!r}")
+    if mode == "extended" and state.ell is None:
         raise ValueError("extended dynamics needs the deviation field")
-    rho, v = state.rho, state.v
-    _check_state(rho, v, state.ell)
-    t = table(rho.shape)
-    mask, dgrad = t[0], t[1:3]
-    sh = forward(np.stack([rho, v[0], v[1]] + ([state.ell] if extended else [])), PLANE)
-    nf = len(sh)
-    spec = np.empty((nf + 8,) + sh.shape[1:], dtype=complex)
-    np.multiply(mask, sh, out=spec[:nf])
-    # rows 1-2 of the table give D_i v_j (dealiased), rows 3-4 partial_i v_j
-    np.multiply(t[1:, None], sh[1:3], out=spec[nf:].reshape((4, 2) + sh.shape[1:]))
-    phys = inverse(spec, PLANE)
-    rho_d, v_d = phys[0], phys[1:3]
-    ddv, dv = phys[nf:].reshape((2, 2, 2) + rho.shape)
-    coefs = params.coefficients(rho)
-    T = stress_tensor(state, params, "extended" if extended else "base", dv, coefs)
-    div = dv[0, 0] + dv[1, 1]
-    if mode == "effective":
-        # relaxation-limit pressure shift; the stress is only used dealiased
-        shift = -(8.0 / params.mu) * coefs[2] * div
-        T[0, 0] -= shift
-        T[1, 1] -= shift
-    flux = [T.reshape((4,) + rho.shape), rho_d * v_d]
-    if extended:
-        flux += [phys[3] * v_d, (coefs[2] * div)[None]]
-    fh = forward(np.concatenate(flux), PLANE)
-    parts = [dgrad[0] * fh[0:2] + dgrad[1] * fh[2:4],  # D_i T_ij
-             -(dgrad[0] * fh[4] + dgrad[1] * fh[5])[None]]
-    if extended:
-        source = 2.0 * fh[8] + (params.mu / params.nu) * sh[3]
-        parts.append((-(dgrad[0] * fh[6] + dgrad[1] * fh[7]) - mask * source)[None])
-    out = inverse(np.concatenate(parts), PLANE)
-    v_t = dealias_2d(out[0:2] / rho_d - (v_d[0] * ddv[0] + v_d[1] * ddv[1]))
-    return (out[2], v_t, out[3]) if extended else (out[2], v_t)
+    return np.stack([state.rho, *state.v] + ([state.ell] if mode == "extended" else []))
+
+
+def _state_of(fields):
+    """The FluidState of stacked grid fields (rho, v_0, v_1[, dl])."""
+    return FluidState(rho=fields[0], v=fields[1:3], ell=fields[3] if len(fields) == 4 else None)
+
+
+def _rhs(state, params, mode):
+    """``spectral_rhs`` of a FluidState, as time derivatives on the grid."""
+    out = inverse(spectral_rhs(forward(_fields(state, mode), PLANE), params, mode), PLANE)
+    return (out[0], out[1:3]) + ((out[3],) if mode == "extended" else ())
 
 
 def base_rhs(state, params):
@@ -315,69 +398,42 @@ def slaved_deviation(state, params):
 # integration
 
 
-def _pack(state):
-    parts = [state.rho.ravel(), state.v[0].ravel(), state.v[1].ravel()]
-    if state.ell is not None:
-        parts.append(state.ell.ravel())
-    return np.concatenate(parts)
-
-
-def _unpack(y, shape, with_ell):
-    m = shape[0] * shape[1]
-    rho = y[:m].reshape(shape)
-    v = y[m : 3 * m].reshape((2,) + shape)
-    ell = y[3 * m : 4 * m].reshape(shape) if with_ell else None
-    return FluidState(rho=rho, v=v, ell=ell)
-
-
 def integrate_fluid(system, state0, params, t_span, stepper, record_every=1):
-    """Integrate one of the fluid systems; returns (Trajectory, frames).
+    """Integrate one of the fluid systems on the half spectra of its fields;
+    returns (Trajectory, frames).
 
     ``system`` is "base", "effective", or "extended".  The trajectory state
     columns are cheap summaries (density range, max speed, rms divergence);
-    full field frames are returned alongside for post-processing.
+    the frames, FluidStates on the grid, are made from the recorded spectra
+    when they are indexed.
     """
-    with_ell = system == "extended"
-    if with_ell and state0.ell is None:
-        raise ValueError("extended integration needs the deviation field")
+    spec0 = forward(_fields(state0, system), PLANE)
     shape = state0.shape
-    rhs_func = {"base": base_rhs, "effective": effective_rhs, "extended": extended_rhs}[
-        system
-    ]
+    rest = outside_mask(spec0, system)
 
     def rhs(t, y):
-        st = _unpack(y, shape, with_ell)
-        out = rhs_func(st, params)
-        parts = [out[0].ravel(), out[1][0].ravel(), out[1][1].ravel()]
-        if with_ell:
-            parts.append(out[2].ravel())
-        return np.concatenate(parts)
+        spec = y.view(complex).reshape(spec0.shape)
+        return spectral_rhs(spec, params, system, t, rest).view(float).ravel()
 
-    times, rows = integrate(rhs, _pack(state0), t_span, stepper, record_every=record_every)
-    frames = [_unpack(r, shape, with_ell) for r in rows]
+    times, rows = integrate(rhs, spec0.view(float).ravel(), t_span, stepper,
+                            record_every=record_every)
+    specs = rows.view(complex).reshape((len(times),) + spec0.shape)
+    frames = Frames(specs, lambda spec: _state_of(inverse(spec, PLANE)))
     area = _cell_area(shape)
     grad = table(shape)[3:]
-
-    def div_l2(st):
-        vh = forward(st.v, PLANE)  # Parseval: the divergence norm needs no inverse transform
-        return float(np.sqrt(np.sum(power(grad[0] * vh[0] + grad[1] * vh[1])) * area))
-
-    states = np.array(
-        [
-            [
-                float(st.rho.min()),
-                float(st.rho.max()),
-                float(np.sqrt(st.v[0] ** 2 + st.v[1] ** 2).max()),
-                div_l2(st),
-            ]
-            for st in frames
-        ]
-    )
-    ledger = {"H": np.array([fluid_energy(st, params) for st in frames])}
-    if with_ell:
-        ledger["H_nu"] = np.array([extended_energy(st, params) for st in frames])
-        ledger["R_mu"] = np.array([rayleigh_dissipation(st, params) for st in frames])
-        ledger["dl_max"] = np.array([float(np.max(np.abs(st.ell))) for st in frames])
+    states = np.empty((len(times), 4))
+    columns = ["H"] + (["H_nu", "R_mu", "dl_max"] if system == "extended" else [])
+    ledger = {key: np.empty(len(times)) for key in columns}
+    for i, spec in enumerate(specs):
+        st = frames[i]
+        # Parseval: the divergence norm needs no inverse transform
+        div_l2 = np.sqrt(np.sum(power(grad[0] * spec[1] + grad[1] * spec[2])) * area)
+        states[i] = st.rho.min(), st.rho.max(), np.sqrt(st.v[0] ** 2 + st.v[1] ** 2).max(), div_l2
+        ledger["H"][i] = fluid_energy(st, params)
+        if system == "extended":
+            ledger["H_nu"][i] = extended_energy(st, params)
+            ledger["R_mu"][i] = rayleigh_dissipation(st, params)
+            ledger["dl_max"][i] = np.max(np.abs(st.ell))
     traj = Trajectory(
         times=times,
         columns=["rho_min", "rho_max", "speed_max", "div_l2"],

@@ -125,3 +125,14 @@ def test_nonfinite_momentum_rejected():
 def test_power_of_two_grid_required():
     with pytest.raises(ValueError):
         helmholtz_inverse(np.zeros(100))
+
+
+def test_ledger_equals_the_per_record_helpers_bit_for_bit():
+    # the ledger takes 256 records per transform; a block boundary falls inside
+    m0 = helmholtz_apply(0.1 * np.sin(grid(64)) + 0.05 * np.cos(3 * grid(64)))
+    tr = integrate_ch(m0, 0.5, (0, 0.3), Stepper.rk4(1e-3))
+    assert len(tr) > 256
+    us = [helmholtz_inverse(m) for m in tr.states]
+    assert tr.column("mean_u").tobytes() == np.array([mean_value(u) for u in us]).tobytes()
+    energy = [h1_energy(m, u) for m, u in zip(tr.states, us)]
+    assert tr.column("energy").tobytes() == np.array(energy).tobytes()

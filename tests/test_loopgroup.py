@@ -174,3 +174,13 @@ def test_energy_and_momentum_helpers_on_magnon():
     assert np.allclose(spin_momentum(L), [0, 0, TWO_PI * np.cos(eps)], atol=1e-10)
     assert unit_norm_deviation(L) < 1e-12
     assert abs(curve_length(circle_curve(64, 2.0), TWO_PI * 2) - TWO_PI * 2) < 1e-10
+
+
+def test_stacked_spin_energy_equals_the_per_loop_energy_bit_for_bit():
+    # the ledger takes 256 records per transform; a block boundary falls inside
+    loops = np.random.default_rng(4).standard_normal((300, 32, 3))
+    per_loop = [spin_energy(L) for L in loops]
+    assert spin_energy(loops).tobytes() == np.array(per_loop).tobytes()
+    tr = integrate_ll(magnon(32, 1, 0.3), (0, 0.03), Stepper.rk4(1e-4))
+    loops = tr.states.reshape(len(tr), 32, 3)
+    assert tr.column("energy").tobytes() == np.array([spin_energy(L) for L in loops]).tobytes()

@@ -9,8 +9,10 @@ exactness properties need no reference: derivatives of trigonometric
 polynomials inside the 2/3 mask, dealiasing of band-limited fields and of
 the modes outside the mask, and the Nyquist mode under odd derivatives.
 ``test_only_the_kernel_transforms`` checks that every ``numpy.fft`` call of
-the PDE systems comes from the kernel and is a real transform.  The CSV
-writer is compared byte for byte with per-value formatting.
+the PDE systems comes from the kernel and is a real transform or a pruned
+pass along axis -2 of a half spectrum; the pruned pair equals the full
+transforms on the kept columns bit for bit.  The CSV writer is compared byte
+for byte with per-value formatting.
 """
 
 import math
@@ -26,9 +28,11 @@ from nonholo.numkit import spectral
 from nonholo.numkit.spectral import (
     PLANE,
     dealias_1d,
-    dealias_2d,
     forward,
+    forward_pruned,
     inverse,
+    inverse_pruned,
+    kept,
     spectral_derivative,
     spectral_derivatives,
     table,
@@ -42,6 +46,8 @@ TWO_PI = 2.0 * np.pi
 # (Camassa-Holm and the odd fluid against their references)
 BOUND = 1e-12
 REAL_TRANSFORMS = {"rfft", "irfft", "rfft2", "irfft2"}
+# the column passes of the pruned pair, along axis -2 of a half spectrum
+COLUMN_TRANSFORMS = {"fft", "ifft"}
 FFT_FUNCTIONS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2",
                  "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
@@ -218,6 +224,7 @@ def ref_field_csv(field):
 
 sizes = st.sampled_from([8, 16, 32, 64, 128, 256])
 sizes_2d = st.sampled_from([8, 16, 32, 64])
+pruned_sizes = st.sampled_from([8, 16, 32, 64, 128])
 # periods other than 2 pi, so the wavenumber scale 2 pi / length is not 1
 lengths = st.floats(0.1, 50.0).filter(lambda x: x != TWO_PI)
 seeds = st.integers(0, 2**32 - 1)
@@ -238,6 +245,12 @@ def assert_close(got, ref):
 def stacked(ref, values):
     """``ref`` applied to each field of a leading stack."""
     return np.stack([ref(v) for v in values])
+
+
+def dealias_2d(values):
+    """The 2/3 mask on 2-D fields through the pruned pair."""
+    n = values.shape[-1]
+    return inverse_pruned(table(values.shape[-2:])[0][..., kept(n)] * forward_pruned(values), n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +322,32 @@ class TestSharedTransforms:
                 t[0] = 1.0
         assert table((16,)) is tables[0]
 
+    @settings(max_examples=40, deadline=None)
+    @given(n0=pruned_sizes, n1=pruned_sizes, fields=st.integers(1, 12), seed=seeds,
+           scale=scales)
+    def test_pruned_pair_equals_the_full_transforms_on_the_kept_columns(self, n0, n1, fields,
+                                                                        seed, scale):
+        values = field(seed, (fields, n0, n1), scale)
+        mask = table((n0, n1))[0]
+        cols = kept(n1)
+        spec = forward(values, PLANE)
+        # the same 1-D transforms on the same data: equal bits, signed zeros too
+        assert forward_pruned(values).tobytes() == spec[..., cols].tobytes()
+        assert (mask[..., cols] * forward_pruned(values)).tobytes() == (
+            (mask * spec)[..., cols].tobytes())
+        # irfft pads with +0.0 where the mask leaves a -0.0 or +0.0: equal values
+        assert np.array_equal(inverse_pruned((mask * spec)[..., cols], n1),
+                              inverse(mask * spec, PLANE))
+
     def test_only_the_kernel_transforms(self, monkeypatch):
         # wrapped on the numpy.fft module, as the benchmark's tracer counts them
         callers = []
 
         def wrap(name, fn):
-            def traced(*args, **kwargs):
-                callers.append((sys._getframe(1).f_globals["__name__"], name))
-                return fn(*args, **kwargs)
+            def traced(a, *args, **kwargs):
+                column_pass = np.iscomplexobj(a) and kwargs.get("axis") == -2 and not args
+                callers.append((sys._getframe(1).f_globals["__name__"], name, column_pass))
+                return fn(a, *args, **kwargs)
             return traced
 
         for name in FFT_FUNCTIONS:
@@ -340,8 +371,9 @@ class TestSharedTransforms:
             oddfluid.integrate_fluid(system, state, params, span, stepper)
         oddfluid.slaved_deviation(state, params)
         assert len(callers) > 100
-        assert {module for module, _ in callers} == {"nonholo.numkit.spectral"}
-        assert {name for _, name in callers} == REAL_TRANSFORMS
+        assert {module for module, _, _ in callers} == {"nonholo.numkit.spectral"}
+        assert {name for _, name, _ in callers} == REAL_TRANSFORMS | COLUMN_TRANSFORMS
+        assert all(column_pass for _, name, column_pass in callers if name in COLUMN_TRANSFORMS)
 
     def test_bad_order_and_grid_rejected_before_any_transform(self):
         with pytest.raises(ValueError, match="order"):

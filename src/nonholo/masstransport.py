@@ -91,7 +91,8 @@ def hj_spectral_rhs(fh, t=None):
 
 
 def burgers_rhs(u):
-    """-(u . grad) u with dealiased products."""
+    """-(u . grad) u with dealiased products.  The grid field is checked
+    first, since transforming a non-finite field warns."""
     u = _check_field(np.asarray(u, dtype=float), "velocity")
     return inverse(burgers_spectral_rhs(forward(u, PLANE)), PLANE)
 

@@ -167,8 +167,6 @@ class Frames(Sequence):
         return len(self._specs)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         return self._make(self._specs[i])
 
 

@@ -311,8 +311,12 @@ def _state_of(fields):
 
 
 def _rhs(state, params, mode):
-    """``spectral_rhs`` of a FluidState, as time derivatives on the grid."""
-    out = inverse(spectral_rhs(forward(_fields(state, mode), PLANE), params, mode), PLANE)
+    """``spectral_rhs`` of a FluidState, as time derivatives on the grid.  The
+    grid fields are checked first, since transforming a non-finite field
+    warns."""
+    fields = _fields(state, mode)
+    _check_state(state.rho, state.v, state.ell)
+    out = inverse(spectral_rhs(forward(fields, PLANE), params, mode), PLANE)
     return (out[0], out[1:3]) + ((out[3],) if mode == "extended" else ())
 
 

@@ -239,7 +239,7 @@ def _flux_spectra(spec, params, mode, t, rest):
     if np.min(rho) <= DENSITY_FLOOR:
         raise NegativeDensity(f"density fell to {np.min(rho):.3e}{at_time(t)}")
     ell = phys[3] + rest[1] if extended else None
-    dv = (phys[len(spec) :] + rest[len(rest) - 4 :]).reshape((2, 2) + shape)
+    dv = (phys[len(spec) :] + rest[-4:]).reshape((2, 2) + shape)
     coefs = params.coefficients(rho)
     div = dv[0, 0] + dv[1, 1]
     flux = np.empty((9 if extended else 6,) + shape)

@@ -17,15 +17,14 @@ frames one at a time.
 import numpy as np
 
 from nonholo.errors import NonFinite, at_time
-from nonholo.numkit import integrate
 from nonholo.numkit.spectral import (
     PLANE,
-    Frames,
     all_finite,
     check_grid,
     forward,
     forward_pruned,
     grid_of,
+    integrate_spectrum,
     inverse,
     inverse_pruned,
     kept,
@@ -103,19 +102,13 @@ def hj_rhs(f):
     return inverse(hj_spectral_rhs(forward(f, PLANE)), PLANE)
 
 
-def _integrate_spectrum(spectral_rhs, field0, t_span, stepper, record_every):
-    """(times, recorded half spectra, frames) of a field integrated on its half spectrum."""
+def _integrate(spectral_rhs, field0, t_span, stepper, record_every):
+    """(times, recorded half spectra, grid frames) of a checked grid field
+    integrated on its half spectrum."""
     check_grid(field0.shape[-2])
     check_grid(field0.shape[-1])
-    spec0 = forward(field0, PLANE)
-
-    def rhs(t, y):
-        return spectral_rhs(y.view(complex).reshape(spec0.shape), t).view(float).ravel()
-
-    times, rows = integrate(rhs, spec0.view(float).ravel(), t_span, stepper,
-                            record_every=record_every)
-    specs = rows.view(complex).reshape((len(times),) + spec0.shape)
-    return times, specs, Frames(specs, lambda spec: inverse(spec, PLANE))
+    return integrate_spectrum(spectral_rhs, forward(field0, PLANE), t_span, stepper,
+                              record_every, lambda spec: inverse(spec, PLANE))
 
 
 def integrate_burgers(u0, t_span, stepper, record_every=1):
@@ -123,8 +116,7 @@ def integrate_burgers(u0, t_span, stepper, record_every=1):
     Returns (Trajectory, frames)."""
     u0 = _check_field(np.asarray(u0, dtype=float), "velocity")
     shape = u0.shape[1:]
-    times, specs, frames = _integrate_spectrum(burgers_spectral_rhs, u0, t_span, stepper,
-                                               record_every)
+    times, specs, frames = _integrate(burgers_spectral_rhs, u0, t_span, stepper, record_every)
     ledger = {"curl_max": np.empty(len(times)), "tail_fraction": np.empty(len(times))}
     states = np.empty((len(times), 3))
     for i, uh in enumerate(specs):
@@ -144,8 +136,8 @@ def integrate_burgers(u0, t_span, stepper, record_every=1):
 def integrate_hj(f0, t_span, stepper, record_every=1):
     """Evolve the mean-zero potential; returns (Trajectory, frames)."""
     f0 = _check_field(np.asarray(f0, dtype=float), "potential")
-    times, specs, frames = _integrate_spectrum(hj_spectral_rhs, f0 - np.mean(f0), t_span,
-                                               stepper, record_every)
+    times, specs, frames = _integrate(hj_spectral_rhs, f0 - np.mean(f0), t_span, stepper,
+                                      record_every)
     ledger = {"mean_f": np.empty(len(times)), "tail_fraction": np.empty(len(times))}
     states = np.empty((len(times), 2))
     for i, fh in enumerate(specs):

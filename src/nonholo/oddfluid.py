@@ -20,15 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from nonholo.errors import NegativeDensity, NonFinite, at_time
-from nonholo.numkit import Jet, integrate
+from nonholo.numkit import Jet
 from nonholo.numkit.spectral import (
     PLANE,
-    Frames,
     all_finite,
     check_grid,
     forward,
     forward_pruned,
     grid_of,
+    integrate_spectrum,
     inverse,
     inverse_pruned,
     kept,
@@ -258,6 +258,15 @@ def _flux_spectra(spec, params, mode, t, rest):
     return forward_pruned(flux), phys
 
 
+def _check_finite(fields, extended, t=None):
+    """Refuse stacked (rho, v_0, v_1[, dl]), grid values or half spectra, with
+    a non-finite entry; ``t``, when given, is named in the failure."""
+    if not all_finite(fields[:3]):
+        raise NonFinite(f"fluid state contains non-finite entries{at_time(t)}")
+    if extended and not all_finite(fields[3]):
+        raise NonFinite(f"deviation field contains non-finite entries{at_time(t)}")
+
+
 def spectral_rhs(spec, params, mode, t=None, rest=None):
     """Masked half spectra of (rho_t, v_t) of the base or effective system, or
     of (rho_t, v_t, dl_t) of the extended one, stacked as ``spec`` stacks the
@@ -273,10 +282,7 @@ def spectral_rhs(spec, params, mode, t=None, rest=None):
     and advection terms take one more pruned pair.
     """
     extended = mode == "extended"
-    if not all_finite(spec[:3]):
-        raise NonFinite(f"fluid state contains non-finite entries{at_time(t)}")
-    if extended and not all_finite(spec[3]):
-        raise NonFinite(f"deviation field contains non-finite entries{at_time(t)}")
+    _check_finite(spec, extended, t)
     if rest is None:
         rest = outside_mask(spec, mode)
     fh, phys = _flux_spectra(spec, params, mode, t, rest)
@@ -411,18 +417,14 @@ def integrate_fluid(system, state0, params, t_span, stepper, record_every=1):
     the frames, FluidStates on the grid, are made from the recorded spectra
     when they are indexed.
     """
-    spec0 = forward(_fields(state0, system), PLANE)
+    fields = _fields(state0, system)
+    _check_finite(fields, system == "extended")  # before transforming, which would warn
+    spec0 = forward(fields, PLANE)
     shape = state0.shape
     rest = outside_mask(spec0, system)
-
-    def rhs(t, y):
-        spec = y.view(complex).reshape(spec0.shape)
-        return spectral_rhs(spec, params, system, t, rest).view(float).ravel()
-
-    times, rows = integrate(rhs, spec0.view(float).ravel(), t_span, stepper,
-                            record_every=record_every)
-    specs = rows.view(complex).reshape((len(times),) + spec0.shape)
-    frames = Frames(specs, lambda spec: _state_of(inverse(spec, PLANE)))
+    times, specs, frames = integrate_spectrum(
+        lambda spec, t: spectral_rhs(spec, params, system, t, rest), spec0, t_span, stepper,
+        record_every, lambda spec: _state_of(inverse(spec, PLANE)))
     area = _cell_area(shape)
     grad = table(shape)[3:]
     states = np.empty((len(times), 4))

@@ -1,5 +1,7 @@
 """Parity-breaking fluid: stress algebra, conservation, and limit ordering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,22 @@ def test_nonfinite_state_raises():
     v[0, 0, 0] = np.nan
     with pytest.raises(NonFinite):
         base_rhs(FluidState(rho=np.ones((n, n)), v=v), generic_params())
+
+
+@pytest.mark.parametrize("system, field, message", [
+    ("base", "rho", "fluid state"), ("effective", "v", "fluid state"),
+    ("extended", "ell", "deviation field")])
+def test_nonfinite_initial_state_raises_before_any_transform(system, field, message):
+    # a transform of an inf field warns; the initial fields are checked first
+    n = 16
+    X, Y = mesh(n)
+    st = FluidState(rho=1.0 + 0.1 * np.cos(X), v=np.stack([np.sin(Y), np.cos(X)]),
+                    ell=0.1 * np.sin(X + Y) if system == "extended" else None)
+    getattr(st, field)[..., 1, 2] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=f"^{message} contains non-finite entries$"):
+            integrate_fluid(system, st, generic_params(), (0, 0.01), Stepper.rk4(1e-3))
 
 
 def test_extended_requires_deviation_field():

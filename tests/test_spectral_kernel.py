@@ -375,6 +375,16 @@ class TestSharedTransforms:
         assert {name for _, name, _ in callers} == REAL_TRANSFORMS | COLUMN_TRANSFORMS
         assert all(column_pass for _, name, column_pass in callers if name in COLUMN_TRANSFORMS)
 
+    def test_frames_index_by_integer_only(self):
+        specs = forward(field(3, (4, 2, 8, 8)), PLANE)
+        frames = spectral.Frames(specs, lambda spec: inverse(spec, PLANE))
+        assert len(frames) == 4
+        assert frames[-1].tobytes() == inverse(specs[3], PLANE).tobytes()
+        assert frames[np.int64(1)].tobytes() == inverse(specs[1], PLANE).tobytes()
+        # a slice would hand the frame maker a stack of records
+        with pytest.raises(TypeError):
+            frames[1:3]
+
     def test_bad_order_and_grid_rejected_before_any_transform(self):
         with pytest.raises(ValueError, match="order"):
             spectral_derivative(np.zeros(8), 4)

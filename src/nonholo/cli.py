@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from nonholo import camassaholm, distributions, driving, errors, liealg, loopgroup
 from nonholo import masstransport, oddfluid, skate, snake, trajectory
 from nonholo.numkit import Stepper
+from nonholo.numkit.steppers import record_rows
 from nonholo.schema import (
     REQUIRED,
     Bool,
@@ -206,7 +207,7 @@ def _horizon(cfg, width, per_step=0):
         raise ConfigError("config keys 't_span' and 'dt' give a non-finite step count")
     if steps > MAX_COUNT:
         raise ConfigError(f"config keys 't_span' and 'dt' give more than {MAX_COUNT} steps")
-    recorded = (steps // cfg["record_every"] + 3) * width + steps * per_step
+    recorded = record_rows((t0, t1), dt, cfg["record_every"]) * width + steps * per_step
     if recorded > MAX_RECORDED:
         raise ConfigError(f"config keys 't_span', 'dt' and 'record_every' give {recorded:.3g} "
                           f"recorded numbers, more than {MAX_RECORDED}")
@@ -721,7 +722,9 @@ def list_presets():
 # driver
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nonholo",
         description="Simulate and verify nonholonomic/vakonomic mechanical systems.",

@@ -15,7 +15,8 @@ import numpy as np
 
 from nonholo.errors import DimensionMismatch, SteeringOutOfRange
 from nonholo.numkit import Jet, jet_variables, numerical_rank
-from nonholo.numkit.jets import check_table_size, cos, derivative_along, n_monomials, sin, tan
+from nonholo.numkit.jets import (
+    check_table_size, cos, derivative_along, n_monomials, sincos, tan)
 from nonholo.numkit.rank import DEFAULT_RANK_TOL
 
 
@@ -139,9 +140,13 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
     accumulated list is reduced to a pointwise frame (deterministic greedy
     selection in creation order), which spans the same sheaf near a generic
     point, and only frame pairs not bracketed at an earlier level are
-    bracketed.  Stops once the chart dimension is reached, the dimensions
-    stagnate or the jets' degree budget is spent (each level uses one
-    degree; ranks relative to a large ``tol`` can fall as vectors are added).
+    bracketed.  The list only grows, so the frame is kept across levels and
+    each level tests only the values appended since the last one; its scan
+    stops once it holds n vectors, as n + 1 vectors in R^n cannot raise the
+    rank (see ``_Frame``).  Stops once the chart dimension is reached, the
+    dimensions stagnate or the jets' degree budget is spent (each level uses
+    one degree; ranks relative to a large ``tol`` can fall as vectors are
+    added).
 
     The jets need a product table of C(2n + b, b) index pairs for chart
     dimension n and degree budget b (n - 2 for rank-2 distributions); above
@@ -159,13 +164,14 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
     check_table_size(n, budget)  # before the coefficient arrays, which grow as fast
     jets = [g.jet(point, budget) for g in dist.generators]
     values = [jf.value for jf in jets]
+    frame = _Frame(n, tol)
     bracketed = set()
     dims = [dims0]
     depth = 0
 
     while depth < budget and dims[-1] < n:
         depth += 1
-        frame_idx = _greedy_frame(values, tol)
+        frame_idx = frame.extend(values)
         for a, i in enumerate(frame_idx):
             for j in frame_idx[a + 1 :]:
                 if (i, j) not in bracketed:
@@ -181,15 +187,29 @@ def derived_flag(dist, point, max_depth=None, tol=DEFAULT_RANK_TOL):
     return FlagReport(point=point, dims=dims, goursat=goursat, depth_used=depth, tol=tol)
 
 
-def _greedy_frame(values, tol):
-    """Indices of a pointwise-independent spanning subset, in list order."""
-    idx = []
-    chosen = []
-    for i, v in enumerate(values):
-        if numerical_rank(chosen + [v], tol) > len(idx):
-            idx.append(i)
-            chosen.append(v)
-    return idx
+class _Frame:
+    """Greedy pointwise frame of a growing list of vectors in R^n, in list order.
+
+    A vector joins when it raises the numerical rank of the vectors chosen
+    before it.  The list only grows, so each ``extend`` tests only the vectors
+    appended since the last one and gives the indices a scan of the whole
+    list from the start would give.  Once n vectors are chosen none can join
+    (n + 1 vectors in R^n have rank at most n), so the scan stops there.
+    """
+
+    def __init__(self, n, tol):
+        self.n, self.tol = n, tol
+        self.idx, self.chosen, self.scanned = [], [], 0
+
+    def extend(self, values):
+        """Indices of the frame of ``values``, which extends the list of the last call."""
+        while self.scanned < len(values) and len(self.idx) < self.n:
+            v = values[self.scanned]
+            if numerical_rank(self.chosen + [v], self.tol) > len(self.idx):
+                self.idx.append(self.scanned)
+                self.chosen.append(v)
+            self.scanned += 1
+        return self.idx
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +227,12 @@ def _tow(q, n, out):
     converting speed into rotation of the next trailer."""
     v = 1.0
     for k in range(n, 0, -1):
-        delta = q[2 + k] - q[1 + k]
-        out[1 + k] = v * sin(delta)
-        v = v * cos(delta)
-    out[0] = v * cos(q[2])
-    out[1] = v * sin(q[2])
+        s, c = sincos(q[2 + k] - q[1 + k])
+        out[1 + k] = v * s
+        v = v * c
+    s, c = sincos(q[2])
+    out[0] = v * c
+    out[1] = v * s
     return out
 
 
@@ -258,7 +279,8 @@ def car_turn_park(l=1.0):
     def park(q):
         c = cos(q[3])
         h = 1.0 / (l * c * c)
-        return [h * sin(q[2]), -(h * cos(q[2])), 0.0, 0.0]
+        sn, cs = sincos(q[2])
+        return [h * sn, -(h * cs), 0.0, 0.0]
 
     return VectorField(4, turn, "turn"), VectorField(4, park, "park")
 

@@ -43,7 +43,11 @@ def euler_arnold_rhs(m, B):
 
 def constraint_values(m, A, constraints):
     """The pairings <a_i, A^{-1} m> that the constrained flow preserves."""
-    Ainv = np.linalg.inv(_as_operator(A))
+    return _pairings(m, np.linalg.inv(_as_operator(A)), constraints)
+
+
+def _pairings(m, Ainv, constraints):
+    """<a_i, Ainv m> for each constraint row a_i."""
     return np.array([float(a @ (Ainv @ m)) for a in constraints])
 
 
@@ -138,7 +142,7 @@ def integrate_lie(flow, m0, t_span, stepper, record_every=1):
             "energy": np.array([spin_energy(m, Ainv) for m in states]),
             "casimir": np.einsum("ij,ij->i", states, states),
             "constraint_max": np.array(
-                [np.max(np.abs(constraint_values(m, A, constraints))) for m in states]
+                [np.max(np.abs(_pairings(m, Ainv, constraints))) for m in states]
             ),
         }
         for i in range(lams.shape[1]):

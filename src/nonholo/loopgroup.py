@@ -6,6 +6,8 @@ flow gamma_t = gamma' x gamma''.  The Gauss map L = gamma' intertwines the
 two, which doubles as a cross-validation between the solvers.
 """
 
+from functools import partial
+
 import numpy as np
 
 from nonholo.errors import NonFinite
@@ -34,8 +36,10 @@ def _cross(a, b):
 
 
 def unit_norm_deviation(L):
-    """Worst deviation of node norms from 1."""
-    return float(np.max(np.abs(np.linalg.norm(L, axis=1) - 1.0)))
+    """Worst deviation of node norms from 1 of a loop (n, 3), or of each loop
+    of a stack (records, n, 3)."""
+    dev = np.max(np.abs(np.linalg.norm(L, axis=-1) - 1.0), axis=-1)
+    return float(dev) if dev.ndim == 0 else dev
 
 
 def ll_rhs(L):
@@ -55,8 +59,10 @@ def spin_energy(L):
 
 
 def spin_momentum(L):
-    """integral L dtheta (a conserved 3-vector)."""
-    return np.sum(L, axis=0) * TWO_PI / len(L)
+    """integral L dtheta (a conserved 3-vector) of a loop (n, 3), or of each
+    loop of a stack (records, n, 3)."""
+    L = np.asarray(L, dtype=float)
+    return np.sum(L, axis=-2) * TWO_PI / L.shape[-2]
 
 
 def magnon(n, k, eps, t=0.0):
@@ -86,9 +92,9 @@ def integrate_ll(L0, t_span, stepper, renormalize=False, record_every=1):
     loops = states.reshape(len(times), n, 3)
     ledger = {
         "energy": in_blocks(spin_energy, loops),
-        "norm_dev": np.array([unit_norm_deviation(L) for L in loops]),
+        "norm_dev": in_blocks(unit_norm_deviation, loops),
     }
-    mom = np.array([spin_momentum(L) for L in loops])
+    mom = in_blocks(spin_momentum, loops)
     for i, name in enumerate(["mom_x", "mom_y", "mom_z"]):
         ledger[name] = mom[:, i]
     cols = [f"{ax}_{j}" for j in range(n) for ax in ("Lx", "Ly", "Lz")]
@@ -116,8 +122,12 @@ def binormal_rhs(gamma, length=TWO_PI):
 
 
 def curve_length(gamma, length=TWO_PI):
-    g1 = spectral_derivative(gamma, order=1, length=length, axis=0)
-    return float(np.sum(np.linalg.norm(g1, axis=1))) * length / len(gamma)
+    """Length of a closed curve (n, 3), or of each curve of a stack
+    (records, n, 3), from one transform of the stack."""
+    gamma = np.asarray(gamma, dtype=float)
+    g1 = spectral_derivative(gamma, order=1, length=length, axis=-2)
+    total = np.sum(np.linalg.norm(g1, axis=-1), axis=-1) * length / gamma.shape[-2]
+    return float(total) if total.ndim == 0 else total
 
 
 def integrate_binormal(gamma0, t_span, stepper, length=TWO_PI, record_every=1):
@@ -129,7 +139,7 @@ def integrate_binormal(gamma0, t_span, stepper, length=TWO_PI, record_every=1):
 
     times, states = integrate(rhs, gamma0.ravel(), t_span, stepper, record_every=record_every)
     loops = states.reshape(len(times), n, 3)
-    ledger = {"length": np.array([curve_length(g, length) for g in loops])}
+    ledger = {"length": in_blocks(partial(curve_length, length=length), loops)}
     cols = [f"{ax}_{j}" for j in range(n) for ax in ("x", "y", "z")]
     return Trajectory(
         times=times,

@@ -221,39 +221,49 @@ class Jet:
         m = t.size(self.deg - 1)
         return Jet(self.nvars, self.deg - 1, self.coef[..., t.up[i, :m]] * t.scale[i, :m])
 
-    def _compose_series(self, derivs):
-        """sum derivs[k]/k! * (self - value)^k, derivs at the constant term."""
+    def _compose_series(self, *derivs):
+        """sum d[k]/k! * (self - value)^k for each list d in ``derivs``, derivatives
+        at the constant term; the powers are shared.  One jet per list."""
         g = self - self.value
-        out = Jet.constant(derivs[0], self.nvars, self.deg)
+        outs = [Jet.constant(d[0], self.nvars, self.deg) for d in derivs]
         gk = g
         for k in range(1, self.deg + 1):
             if k > 1:
                 gk = gk * g
             if not gk.coef.any():
                 break
-            out = out + gk * (derivs[k] / math.factorial(k))
-        return out
+            outs = [out + gk * (d[k] / math.factorial(k)) for out, d in zip(outs, derivs)]
+        return outs
 
     def reciprocal(self):
         c = self.value
         derivs = [((-1.0) ** k) * math.factorial(k) / c ** (k + 1) for k in range(self.deg + 1)]
-        return self._compose_series(derivs)
+        return self._compose_series(derivs)[0]
 
-    def sin(self):
+    def sincos(self):
+        """(sin, cos) series, sharing the powers of (self - value)."""
         c = self.value
         table = [math.sin(c), math.cos(c), -math.sin(c), -math.cos(c)]
-        return self._compose_series([table[k % 4] for k in range(self.deg + 1)])
+        return self._compose_series([table[k % 4] for k in range(self.deg + 1)],
+                                    [table[(k + 1) % 4] for k in range(self.deg + 1)])
+
+    def sin(self):
+        return self.sincos()[0]
 
     def cos(self):
-        c = self.value
-        table = [math.cos(c), -math.sin(c), -math.cos(c), math.sin(c)]
-        return self._compose_series([table[k % 4] for k in range(self.deg + 1)])
+        return self.sincos()[1]
 
     def tan(self):
-        return self.sin() * self.cos().reciprocal()
+        s, c = self.sincos()
+        return s * c.reciprocal()
 
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, deg={self.deg}, {self.coef!r})"
+
+
+def sincos(x):
+    """(sin x, cos x) of a number, or the two series of a Jet from one set of powers."""
+    return x.sincos() if type(x) is Jet else (math.sin(x), math.cos(x))
 
 
 def sin(x):
@@ -303,16 +313,20 @@ def derivative_along(field, f):
     fc = f.coef.reshape(-1, f.coef.shape[-1])
     out = np.zeros((fc.shape[0], m))
     acc = None
-    for j in range(nvars):
+    # which field components and which partials df/dx_j vanish or are
+    # constant, for every j in one pass (scale >= 1, so df vanishes where the
+    # coefficients it gathers do)
+    v = field.coef[:, :m] != 0
+    d = (fc[:, :t.size(deg + 1)] != 0).any(axis=0)[t.up[:, :m]]
+    nonzero = v.any(axis=1) & d.any(axis=1)
+    for j, vj_varies, df_varies in zip(np.flatnonzero(nonzero).tolist(),
+                                      v[nonzero, 1:].any(axis=1).tolist(),
+                                      d[nonzero, 1:].any(axis=1).tolist()):
         vj = field.coef[j, :m]
-        if not vj.any():
-            continue
         df = fc[:, t.up[j, :m]] * t.scale[j, :m]
-        if not df.any():
-            continue
-        if not vj[1:].any():
+        if not vj_varies:
             out += vj[0] * df
-        elif not df[:, 1:].any():
+        elif not df_varies:
             out += df[:, :1] * vj
         else:
             if acc is None:

@@ -12,11 +12,10 @@ def numerical_rank(vectors, tol=DEFAULT_RANK_TOL):
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    if not vectors:
+    mat = np.array(vectors, dtype=float, ndmin=2)
+    if mat.size == 0:
         return 0
-    mat = np.vstack(vectors)
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.count_nonzero(sv > tol * sv[0]))

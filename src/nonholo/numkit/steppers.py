@@ -88,22 +88,9 @@ def _float_step(d):
     return namespace["step"]
 
 
-def march(rhs, y0, t_span, dt, record_every=1, project=None):
-    """RK4 from y0 over t_span in steps of dt; returns (times, states) arrays.
-
-    The final sample is at t1.  When the span is not a multiple of dt, the
-    last step is shortened to end there; step i ends at t0 + i dt, and a
-    last full step that ends within the landing tolerance of t1 is recorded
-    at t1.  A nonzero span shorter than dt is one shortened step, however
-    short.  States are recorded every ``record_every`` steps, plus the final
-    state.  The first rhs evaluation picks the loop (see the module
-    docstring) and serves as the first step's first stage.  ``project``,
-    when given, maps each new state back onto a constraint set before it is
-    checked and recorded.
-    """
+def _plan(t_span, dt):
+    """(full steps of dt, whether the last of them lands on t1) for march."""
     t0, t1 = float(t_span[0]), float(t_span[1])
-    y = np.array(y0, dtype=float)
-    _check_finite(y, "initial state")
     span = (t1 - t0) / dt
     if not np.isfinite(span):
         raise ValueError(f"t_span {t_span!r} and dt {dt!r} give a non-finite step count")
@@ -115,6 +102,35 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
     if not exact:
         # full steps first; one shortened step then lands on t1
         nsteps = max(int(np.ceil(span - 1e-12)) - 1, 0)
+    return nsteps, exact
+
+
+def record_rows(t_span, dt, record_every=1):
+    """Number of samples march records over t_span in steps of dt: the initial
+    state, every ``record_every``-th full step, and the last state at t1."""
+    nsteps, exact = _plan(t_span, dt)
+    if exact:  # the last full step is recorded, once
+        return 1 - (-nsteps // record_every)
+    return 2 + nsteps // record_every
+
+
+def march(rhs, y0, t_span, dt, record_every=1, project=None):
+    """RK4 from y0 over t_span in steps of dt; returns (times, states) arrays.
+
+    The final sample is at t1.  When the span is not a multiple of dt, the
+    last step is shortened to end there; step i ends at t0 + i dt, and a
+    last full step that ends within the landing tolerance of t1 is recorded
+    at t1.  A nonzero span shorter than dt is one shortened step, however
+    short.  States are recorded every ``record_every`` steps, plus the final
+    state (``record_rows`` counts them).  The first rhs evaluation picks the
+    loop (see the module docstring) and serves as the first step's first
+    stage.  ``project``, when given, maps each new state back onto a
+    constraint set before it is checked and recorded.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y = np.array(y0, dtype=float)
+    _check_finite(y, "initial state")
+    nsteps, exact = _plan(t_span, dt)
     final = nsteps - 1 if exact else -1
 
     k1 = rhs(t0, y)
@@ -125,10 +141,9 @@ def march(rhs, y0, t_span, dt, record_every=1, project=None):
         stage, y, k1 = _float_step(len(y)), y.tolist(), [float(k) for k in k1]
     else:
         stage = _rk4_arrays
-    # records go into one array: nsteps // record_every rows at most, plus the
-    # initial state, the last full step and a shortened last step.  A list of
-    # rows and its copy would hold every record twice.
-    times = np.empty(3 + nsteps // record_every)
+    # records go into one array of exactly the rows recorded; a list of rows
+    # and its copy would hold every record twice
+    times = np.empty(record_rows(t_span, dt, record_every))
     states = np.empty(times.shape + np.shape(y))
     times[0], states[0], k = t0, y, 1
 

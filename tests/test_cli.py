@@ -468,8 +468,8 @@ class TestExitCodes:
     ])
     def test_the_record_budget_counts_what_the_run_records(self, tmp_path, monkeypatch,
                                                            command, cfg):
-        # the budget at exactly the floats march allocates for the records
-        # runs; one float less is refused before the run
+        # march allocates exactly the rows it records, and the budget at
+        # exactly those floats runs; one float less is refused before the run
         from nonholo import cli
         from nonholo.numkit import steppers
 
@@ -479,6 +479,7 @@ class TestExitCodes:
 
         def counted(*args, **kwargs):
             times, states = march(*args, **kwargs)
+            assert states.base.shape[0] == len(times)
             allocated.append(states.base.size)
             return times, states
 
@@ -639,6 +640,44 @@ class TestArtifacts:
         assert code == EXIT_CONFIG and out == ""
         assert err.startswith("config error: config key '--out' ") and err.count("\n") == 1
         assert repr(str(culprit)) in err
+
+
+class TestParser:
+    @staticmethod
+    def outcome(argv):
+        """Exit code, stdout and stderr of one run; argparse's own for argv it refuses."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_a_parser_built_once_prints_what_a_fresh_parser_prints(self, tmp_path):
+        from nonholo import cli
+
+        flag = tmp_path / "flag.json"
+        flag.write_text(json.dumps({"kind": "trailer", "n": 1, "points": 3}))
+        skate = tmp_path / "skate.json"
+        skate.write_text(json.dumps({
+            "system": "reduced", "g": 1.0, "mu": 1.0, "t_span": [0, 8], "dt": 0.1,
+            "checks": [{"name": "energy_rel_drift", "tol": 1e-8}]}))
+        runs = [["flag", "--config", str(flag), "--seed", "5"],
+                ["skate", "--config", str(skate), "--check"],
+                ["flag", "--config", str(flag)],
+                ["skate", "--config", str(skate)],
+                ["flag", "--config", str(flag), "--seed", "x"],
+                ["presets"]]
+        once = [self.outcome(argv) for argv in runs]
+        fresh = []
+        for argv in runs:
+            cli.build_parser.cache_clear()
+            fresh.append(self.outcome(argv))
+        assert once == fresh
+        assert [code for code, _, _ in once] == [EXIT_OK, EXIT_CHECK, EXIT_OK, EXIT_OK, 2, EXIT_OK]
+        assert "invalid int value: 'x'" in once[4][2]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestSubcommands:

@@ -24,7 +24,7 @@ from nonholo.distributions import (
     unicycle_fields,
 )
 from nonholo.errors import DimensionMismatch, JetTableTooLarge, SteeringOutOfRange
-from nonholo.numkit import jets
+from nonholo.numkit import jets, numerical_rank
 
 
 def rand_points(rng, dim, count, scale=0.8):
@@ -267,6 +267,70 @@ def test_derived_flag_brackets_each_pair_once(monkeypatch, n, brackets):
     assert derived_flag(trailer_fields(n), q).dims == list(range(2, n + 4))
     assert len(calls) == brackets
     assert len({frozenset((id(v), id(w))) for v, w in calls}) == len(calls)
+
+
+def test_derived_flag_tests_each_value_once(monkeypatch):
+    # the frame resumes where the last level stopped and stops when full:
+    # one rank test per value at most, plus one per level and the generators'
+    calls = []
+    rank = distributions.numerical_rank
+
+    def counted(vectors, tol):
+        calls.append(len(vectors))
+        return rank(vectors, tol)
+
+    monkeypatch.setattr(distributions, "numerical_rank", counted)
+    q = rand_points(np.random.default_rng(404), 7, 1)[0]
+    report = derived_flag(trailer_fields(4), q)
+    assert report.dims == list(range(2, 8))
+    assert len(calls) <= (2 + 15) + report.depth_used + 1
+
+
+def _scan_from_the_start(values, tol):
+    """Indices of the greedy frame of ``values``, scanned from the first."""
+    idx, chosen = [], []
+    for i, v in enumerate(values):
+        if numerical_rank(chosen + [v], tol) > len(idx):
+            idx.append(i)
+            chosen.append(v)
+    return idx
+
+
+@st.composite
+def growing_lists(draw):
+    """(n, vectors in R^n, cut points, tol): independent vectors of mixed size,
+    combinations and rescalings of earlier ones, vectors within a few tol of an
+    earlier one, and zeros."""
+    n = draw(st.integers(2, 6))
+    tol = draw(st.sampled_from([1e-10, 1e-8, 1e-4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = []
+    for kind in draw(st.lists(st.sampled_from(["new", "combination", "scaled", "near", "zero"]),
+                              min_size=1, max_size=3 * n)):
+        if kind == "zero":
+            v = np.zeros(n)
+        elif kind == "new" or not values:
+            v = rng.normal(size=n) * 10.0 ** rng.integers(-4, 5)
+        else:
+            old = np.array(values)[rng.integers(0, len(values), size=rng.integers(1, 3))]
+            if kind == "combination":
+                v = rng.normal(size=len(old)) @ old
+            elif kind == "scaled":
+                v = old[0] * 10.0 ** rng.uniform(-8, 8)
+            else:
+                v = old[0] + tol * rng.uniform(0.1, 10.0) * rng.normal(size=n) * np.abs(old[0]).max()
+        values.append(v)
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=4)))
+    return n, values, cuts, tol
+
+
+@given(growing_lists())
+@settings(max_examples=100, deadline=None)
+def test_resumed_frame_equals_a_scan_from_the_start(case):
+    n, values, cuts, tol = case
+    frame = distributions._Frame(n, tol)
+    for end in [*cuts, len(values)]:
+        assert list(frame.extend(values[:end])) == _scan_from_the_start(values[:end], tol)
 
 
 def test_oversized_jet_table_is_refused_before_it_is_built(monkeypatch):

@@ -143,6 +143,15 @@ def test_constraint_values_pairing():
     assert np.allclose(vals, [2.0])
 
 
+def test_constraint_ledger_equals_the_pairings_bit_for_bit():
+    # the ledger inverts A once per run; constraint_values inverts it per call
+    A = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+    a = [[0.2, -0.5, 1.0], [1.0, 0.3, 0.0]]
+    tr = integrate_lie(("constrained", A, a), [0.7, -1.1, 0.4], (0, 1), Stepper.rk4(1e-2), 5)
+    worst = [np.max(np.abs(constraint_values(m, A, a))) for m in tr.states]
+    assert tr.column("constraint_max").tobytes() == np.array(worst).tobytes()
+
+
 def test_acceleration_shift_changes_trajectory_not_velocity():
     # adding a multiple of the constraint covector to m0 leaves the initial
     # angular velocity in the plane unchanged but alters the evolution

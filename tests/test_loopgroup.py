@@ -184,3 +184,24 @@ def test_stacked_spin_energy_equals_the_per_loop_energy_bit_for_bit():
     tr = integrate_ll(magnon(32, 1, 0.3), (0, 0.03), Stepper.rk4(1e-4))
     loops = tr.states.reshape(len(tr), 32, 3)
     assert tr.column("energy").tobytes() == np.array([spin_energy(L) for L in loops]).tobytes()
+
+
+def test_stacked_ledgers_equal_the_per_record_helpers_bit_for_bit():
+    # 301 records, so the ledger's block boundary at 256 falls inside
+    rng = np.random.default_rng(6)
+    loops = rng.standard_normal((300, 32, 3))
+    for helper in (unit_norm_deviation, spin_momentum, curve_length):
+        assert helper(loops).tobytes() == np.array([helper(L) for L in loops]).tobytes()
+    L0 = magnon(32, 1, 0.3) + 1e-3 * rng.standard_normal((32, 3))
+    tr = integrate_ll(L0, (0, 0.03), Stepper.rk4(1e-4))
+    loops = tr.states.reshape(len(tr), 32, 3)
+    assert len(loops) > 256
+    norm_dev = np.array([unit_norm_deviation(L) for L in loops])
+    assert tr.column("norm_dev").tobytes() == norm_dev.tobytes()
+    mom = np.array([spin_momentum(L) for L in loops])
+    for i, name in enumerate(["mom_x", "mom_y", "mom_z"]):
+        assert tr.column(name).tobytes() == mom[:, i].tobytes()
+    gamma0 = circle_curve(32, 0.5) + 1e-3 * rng.standard_normal((32, 3))
+    tr = integrate_binormal(gamma0, (0, 0.03), Stepper.rk4(1e-4), length=3.0)
+    curves = tr.states.reshape(len(tr), 32, 3)
+    assert tr.column("length").tobytes() == np.array([curve_length(g, 3.0) for g in curves]).tobytes()

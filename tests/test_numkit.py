@@ -18,7 +18,7 @@ from nonholo.numkit import (
     numerical_rank,
     spectral_derivative,
 )
-from nonholo.numkit import jets
+from nonholo.numkit import jets, steppers
 from nonholo.numkit.jets import derivative_along, monomials, n_monomials
 
 
@@ -105,6 +105,19 @@ class TestSteppers:
         assert np.array_equal(times[1:-1], t0 + 7 * np.arange(1, len(times) - 1) * dt)
         assert np.all(np.diff(times) > 0)
         assert abs(states[-1, 0] - np.exp(-(times[-1] - t0))) < 1e-6
+
+    @given(st.floats(-10.0, 10.0), st.floats(0.0, 2.0), st.floats(1e-3, 0.3),
+           st.integers(1, 12), st.booleans())
+    @example(t0=0.0, span=0.01, dt=1e-3, record_every=2, floats=False)  # lands on a record
+    @example(t0=0.0, span=0.0, dt=0.1, record_every=3, floats=True)
+    @settings(max_examples=100, deadline=None)
+    def test_march_allocates_exactly_the_rows_it_records(self, t0, span, dt, record_every,
+                                                          floats):
+        rhs = (lambda t, y: [0.0]) if floats else (lambda t, y: np.zeros_like(y))
+        t_span = (t0, t0 + span)
+        times, states = steppers.march(rhs, [1.0], t_span, dt, record_every)
+        assert len(times) == len(states) == steppers.record_rows(t_span, dt, record_every)
+        assert states.base.shape[0] == len(states)  # no row allocated that is not recorded
 
 
 class TestJetJacobians:
@@ -228,6 +241,47 @@ def _assert_matches(jet, ref):
     assert np.allclose(list(got.values()), expected, rtol=1e-12, atol=1e-12)
 
 
+def _one_series(jet, derivs):
+    """sum derivs[k]/k! (jet - value)^k with powers built for this one series."""
+    g = jet - jet.value
+    out = Jet.constant(derivs[0], jet.nvars, jet.deg)
+    gk = g
+    for k in range(1, jet.deg + 1):
+        if k > 1:
+            gk = gk * g
+        if not gk.coef.any():
+            break
+        out = out + gk * (derivs[k] / math.factorial(k))
+    return out
+
+
+def _derivative_along_per_variable(field, f):
+    """derivative_along with each vanishing test made on its own variable."""
+    nvars, deg = field.nvars, min(field.deg, f.deg) - 1
+    t = jets._table(nvars, deg + 1)
+    m, p = t.size(deg), t.npairs[deg]
+    fc = f.coef.reshape(-1, f.coef.shape[-1])
+    out, acc = np.zeros((fc.shape[0], m)), None
+    for j in range(nvars):
+        vj = field.coef[j, :m]
+        if not vj.any():
+            continue
+        df = fc[:, t.up[j, :m]] * t.scale[j, :m]
+        if not df.any():
+            continue
+        if not vj[1:].any():
+            out += vj[0] * df
+        elif not df[:, 1:].any():
+            out += df[:, :1] * vj
+        else:
+            if acc is None:
+                acc = np.zeros((fc.shape[0], p))
+            acc += vj[t.left[:p]] * df[:, t.right[:p]]
+    if acc is not None:
+        out += np.add.reduceat(acc, t.seg[:m], axis=-1)
+    return Jet(nvars, deg, out.reshape(f.coef.shape[:-1] + (m,)))
+
+
 @st.composite
 def jet_sets(draw, count=2, vector=False, min_deg=0):
     """``count`` random jets in one variable set; vector jets have nvars rows."""
@@ -292,6 +346,33 @@ class TestJet:
                 fi = Jet(nvars, f.deg, f.coef[i])
                 ref = _ref_add(ref, _ref_mul(_poly(vj), _ref_diff(_poly(fi), j), deg))
             _assert_matches(Jet(nvars, deg, out.coef[i]), ref)
+
+    @given(jet_sets(vector=True, min_deg=1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_derivative_along_takes_the_per_variable_sums_bit_for_bit(self, pair, data):
+        field, f = pair
+        # f independent of some variables, so those partials vanish, and some
+        # components of f constant, so the partials vanish there alone
+        free = data.draw(st.lists(st.integers(0, f.nvars - 1), unique=True))
+        f.coef[..., monomials(f.nvars, f.deg)[:, free].any(axis=1)] = 0.0
+        f.coef[data.draw(st.lists(st.integers(0, f.nvars - 1), unique=True)), 1:] = 0.0
+        assert (derivative_along(field, f).coef.tobytes()
+                == _derivative_along_per_variable(field, f).coef.tobytes())
+
+    @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_sincos_shares_powers_bit_for_bit(self, nvars, deg, seed, constant):
+        coef = np.random.default_rng(seed).uniform(-2.0, 2.0, n_monomials(nvars, deg))
+        if constant:
+            coef[1:] = 0.0  # every power of (a - value) vanishes: the series stop at once
+        a = Jet(nvars, deg, coef)
+        s, c = jets.sincos(a)
+        sc = [math.sin(a.value), math.cos(a.value), -math.sin(a.value), -math.cos(a.value)]
+        ref_s = _one_series(a, [sc[k % 4] for k in range(deg + 1)])
+        ref_c = _one_series(a, [sc[(k + 1) % 4] for k in range(deg + 1)])
+        assert s.coef.tobytes() == ref_s.coef.tobytes() == jets.sin(a).coef.tobytes()
+        assert c.coef.tobytes() == ref_c.coef.tobytes() == jets.cos(a).coef.tobytes()
+        assert jets.sincos(a.value) == (math.sin(a.value), math.cos(a.value))
 
     def test_vector_jet_value_and_scalar_value(self):
         x, y = Jet.constant(0.5, 2, 3), Jet(2, 3, np.arange(2 * 10.0).reshape(2, 10))

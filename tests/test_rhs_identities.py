@@ -11,7 +11,10 @@ Each property evaluates a right-hand side once and never integrates:
 * a rig's velocity meets every axle's no-sideslip constraint;
 * the spin flow L x L'' is orthogonal to L, and the filament flow
   gamma_s x gamma_ss to the tangent gamma_s, at every node of a random
-  band-limited loop.
+  band-limited loop;
+* the Camassa-Holm flow keeps the H^1 energy and the mean of m: integral
+  u m_t = 0 and integral m_t = 0 for every band-limited m and kappa;
+* both Cartan generators annihilate every contact form dz_{i-1} - z_i dx.
 
 Each tolerance is a multiple of the float64 epsilon times the scale of the
 terms that cancel (times the condition number where a solve is involved).
@@ -25,11 +28,14 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nonholo.camassaholm import ch_rhs
+from nonholo.distributions import cartan_distribution, cartan_form_residuals
 from nonholo.driving import axle_residuals, rig_distribution, rig_rhs, sine_control
 from nonholo.liealg import eps_rhs
 from nonholo.loopgroup import binormal_rhs, ll_rhs
 from nonholo.masstransport import burgers_rhs, gradient, hj_rhs
 from nonholo.numkit import spectral_derivative
+from nonholo.numkit.spectral import helmholtz_inverse
 from nonholo.oddfluid import (
     FluidParams,
     FluidState,
@@ -214,6 +220,52 @@ def test_filament_flow_is_orthogonal_to_the_tangent(gamma, length):
     g2 = spectral_derivative(gamma, order=2, length=length, axis=0)
     dot = np.sum(g1 * binormal_rhs(gamma, length), axis=1)
     assert np.all(np.abs(dot) <= orthogonality_bound(g1, g1, g2))
+
+
+# ---------------------------------------------------------------------------
+# Camassa-Holm and the Cartan distribution
+
+
+@st.composite
+def momenta(draw):
+    """A random band-limited m on n = 16 or 32 points with modes up to n // 3,
+    so the dealiased products of the rhs keep their modes exactly, and a
+    log-uniform scale."""
+    n = draw(st.sampled_from([16, 32]))
+    modes = draw(st.integers(1, n // 3))
+    coef = np.array(draw(states(2 * modes + 1, 1.0)))
+    theta = np.arange(n) * (2.0 * np.pi / n)
+    k = np.arange(1, modes + 1)
+    basis = np.hstack([np.ones((n, 1)), np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))])
+    return draw(scales(-3.0, 3.0)) * (basis @ coef)
+
+
+# worst ratios to EPS over 20 000 random cases: 1.40 (energy rate) and 1.05
+# (mean rate); the bound is about five times the worse
+CH_TOL = 8 * EPS
+
+
+@given(momenta(), finite(-10.0, 10.0), scales(-3.0, 3.0))
+@SETTINGS
+def test_camassa_holm_keeps_energy_and_mean(m, kappa, size):
+    kappa *= size
+    u = helmholtz_inverse(m)
+    ux, mx = spectral_derivative(u, 1), spectral_derivative(m, 1)
+    m_t = ch_rhs(m, kappa)
+    weight = 2.0 * np.pi / len(m)
+    # the magnitudes of the terms of -(2 u_x m + u m_x) - kappa u_x, which cancel
+    terms = 2.0 * np.abs(ux * m) + np.abs(u * mx) + abs(kappa) * np.abs(ux)
+    assert abs(np.sum(u * m_t)) * weight <= CH_TOL * np.sum(np.abs(u) * terms) * weight + TINY
+    assert abs(np.sum(m_t)) * weight <= CH_TOL * np.sum(terms) * weight + TINY
+
+
+@given(st.integers(1, 6), st.data())
+@SETTINGS
+def test_cartan_generators_annihilate_every_contact_form(s, data):
+    # z_i * 1.0 - z_i and 0 - z_i * 0.0 are exact: the residuals are zeros
+    q = data.draw(states(s + 2, 10.0))
+    for g in cartan_distribution(s).generators:
+        assert cartan_form_residuals(s, q, g.at(q)) == [0.0] * s
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ def ch_rhs_velocity_form(u, kappa=0.0):
     return helmholtz_inverse(rhs)
 
 
-def mean_value(f):
-    return float(np.mean(f))
-
-
 def h1_energy(m, u=None):
     """E = 1/2 integral (u^2 + u_x^2) dx = 1/2 integral u m dx, u = helmholtz_inverse(m),
     of a field or of each field of a stack along the last axis."""

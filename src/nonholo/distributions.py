@@ -9,7 +9,7 @@ unicycle-with-trailers, car (steer/drive), the bracket normal form with unit
 growth, and the jet-space tangency distribution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -31,19 +31,11 @@ def _cross(m, w):
     return [m1 * w2 - m2 * w1, m2 * w0 - m0 * w2, m0 * w1 - m1 * w0]
 
 
-def _euler_arnold(m, B):
+def euler_arnold_rhs(m, B):
+    """m' = m x (B m), as floats; B is a 3x3 array, an inverse inertia or a
+    degenerate operator."""
     # the product stays a numpy call: its BLAS kernel may fuse multiply-adds
     return _cross(m, (B @ m).tolist())
-
-
-def euler_arnold_rhs(m, B):
-    """m' = m x (B m); B may be an inverse inertia or a degenerate operator."""
-    return np.array(_euler_arnold(np.asarray(m, dtype=float), _as_operator(B)))
-
-
-def constraint_values(m, A, constraints):
-    """The pairings <a_i, A^{-1} m> that the constrained flow preserves."""
-    return _pairings(m, np.linalg.inv(_as_operator(A)), constraints)
 
 
 def _pairings(m, Ainv, constraints):
@@ -51,14 +43,17 @@ def _pairings(m, Ainv, constraints):
     return np.array([float(a @ (Ainv @ m)) for a in constraints])
 
 
-def _constrained_flow(A, constraints):
-    """(P, K, A^{-1}) of the constrained momentum flow.
+def constrained_flow(A, constraints):
+    """(P, K, A^{-1}) of the constrained momentum flow
+    m' = m x (A^{-1}m) + sum_i lambda_i a_i.
 
-    With the free drift f = m x A^{-1}m, the flow is m' = P f and its
-    multipliers are lambda = K f, where K = -G^{-1} a A^{-1} for the Gram
-    matrix G = a A^{-1} a^T and P = I + a^T K.  None of these depends on m,
-    so they are computed once here, after the conditioning check, and no
-    linear solve runs per evaluation.
+    The multipliers keep every pairing <a_i, A^{-1} m> constant along the
+    flow, and they are linear in the free drift: with f = m x A^{-1}m, the
+    flow is m' = P f and its multipliers are lambda = K f, where
+    K = -G^{-1} a A^{-1} for the Gram matrix G = a A^{-1} a^T and
+    P = I + a^T K.  None of these depends on m, so they are computed once
+    here, after the conditioning check, and no linear solve runs per
+    evaluation.
     """
     try:
         Ainv = np.linalg.inv(_as_operator(A))
@@ -80,18 +75,6 @@ def _constrained_flow(A, constraints):
         raise SingularGram("constraint Gram matrix is singular")
     K = -np.linalg.solve(gram, u @ Ainv)
     return np.eye(3) + u.T @ K, K / size, Ainv
-
-
-def eps_rhs(m, A, constraints):
-    """Constrained momentum flow: m' = m x (A^{-1}m) + sum_i lambda_i a_i.
-
-    The multipliers keep every pairing <a_i, A^{-1} m> constant along the
-    flow; they are linear in the free drift, through matrices fixed per
-    inertia and constraints (see ``_constrained_flow``).
-    """
-    P, K, Ainv = _constrained_flow(A, constraints)
-    free = _euler_arnold(np.asarray(m, dtype=float), Ainv)
-    return P @ free, K @ free
 
 
 def restricted_inverse_inertia(A, a):
@@ -121,7 +104,7 @@ def integrate_lie(flow, m0, t_span, stepper, record_every=1):
         B = _as_operator(flow[1])
 
         def rhs(t, m):
-            return _euler_arnold(m, B)
+            return euler_arnold_rhs(m, B)
 
         times, states = integrate(rhs, m0, t_span, stepper, record_every=record_every)
         ledger = {
@@ -131,13 +114,13 @@ def integrate_lie(flow, m0, t_span, stepper, record_every=1):
     elif kind == "constrained":
         A = _as_operator(flow[1])
         constraints = np.asarray(flow[2], dtype=float).reshape(-1, 3)
-        P, K, Ainv = _constrained_flow(A, constraints)
+        P, K, Ainv = constrained_flow(A, constraints)
 
         def rhs(t, m):
-            return (P @ _euler_arnold(m, Ainv)).tolist()
+            return (P @ euler_arnold_rhs(m, Ainv)).tolist()
 
         times, states = integrate(rhs, m0, t_span, stepper, record_every=record_every)
-        lams = np.array([K @ _euler_arnold(m, Ainv) for m in states])
+        lams = np.array([K @ euler_arnold_rhs(m, Ainv) for m in states])
         ledger = {
             "energy": np.array([spin_energy(m, Ainv) for m in states]),
             "casimir": np.einsum("ij,ij->i", states, states),

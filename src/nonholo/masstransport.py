@@ -9,9 +9,10 @@ Both equations are integrated on the half spectra of their fields.  Each
 spectral rhs takes the half spectrum of the state and returns the masked
 half spectrum of its time derivative, so every transform it makes is a
 pruned one (see ``nonholo.numkit.spectral``) and no field goes back and forth
-between the grid and the spectrum.  ``burgers_rhs`` and ``hj_rhs`` wrap the
-spectral rhs for fields on the grid.  The recorded spectra become grid
-frames one at a time.
+between the grid and the spectrum: ``burgers_spectral_rhs`` and
+``hj_spectral_rhs`` are the only forms of the two equations.  The integrators
+check the initial grid field before its first transform, and the recorded
+spectra become grid frames one at a time.
 """
 
 import numpy as np
@@ -53,12 +54,6 @@ def _curl_from(uh, shape):
     return inverse(grad[0] * uh[1] - grad[1] * uh[0], PLANE)
 
 
-def curl_2d(u):
-    """Scalar vorticity d1 u2 - d2 u1."""
-    u = np.asarray(u, dtype=float)
-    return _curl_from(forward(u, PLANE), u.shape[1:])
-
-
 def burgers_spectral_rhs(uh, t=None):
     """Masked half spectrum of -(u . grad) u from the half spectrum ``uh`` of u;
     ``t``, when given, is named in a failure."""
@@ -87,19 +82,6 @@ def hj_spectral_rhs(fh, t=None):
     out[..., cols] = tab[0] * forward_pruned(-0.5 * (g[0] ** 2 + g[1] ** 2))
     out[0, 0] = 0.0
     return out
-
-
-def burgers_rhs(u):
-    """-(u . grad) u with dealiased products.  The grid field is checked
-    first, since transforming a non-finite field warns."""
-    u = _check_field(np.asarray(u, dtype=float), "velocity")
-    return inverse(burgers_spectral_rhs(forward(u, PLANE)), PLANE)
-
-
-def hj_rhs(f):
-    """f_t = -|grad f|^2 / 2, re-projected to zero mean (gauge)."""
-    f = _check_field(np.asarray(f, dtype=float), "potential")
-    return inverse(hj_spectral_rhs(forward(f, PLANE)), PLANE)
 
 
 def _integrate(spectral_rhs, field0, t_span, stepper, record_every):
@@ -152,11 +134,6 @@ def integrate_hj(f0, t_span, stepper, record_every=1):
         ledger=ledger,
     )
     return traj, frames
-
-
-def potentiality_check(frames):
-    """max over frames of || curl u ||_inf for an advected velocity sequence."""
-    return max(float(np.max(np.abs(curl_2d(u)))) for u in frames)
 
 
 def characteristics_1d(u0_func, x, t, tol=1e-12, max_iter=100):

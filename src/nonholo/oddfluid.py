@@ -11,8 +11,9 @@ extended energy at a rate proportional to the squared deviation.
 
 The systems are integrated on the half spectra of their fields:
 ``spectral_rhs`` maps the half spectra of (rho, v[, dl]) to the masked half
-spectra of their time derivatives, and ``base_rhs``, ``effective_rhs`` and
-``extended_rhs`` wrap it for fields on the grid.
+spectra of their time derivatives, for each of the three systems ("base",
+"effective" and "extended").  ``fluid_rhs`` lifts it to fields on the grid
+for the energy-rate instruments.
 """
 
 from dataclasses import dataclass
@@ -134,15 +135,6 @@ class FluidState:
         return self.rho.shape
 
 
-def _check_state(rho, v, ell=None):
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(v))):
-        raise NonFinite("fluid state contains non-finite entries")
-    if ell is not None and not np.all(np.isfinite(ell)):
-        raise NonFinite("deviation field contains non-finite entries")
-    if np.min(rho) <= DENSITY_FLOOR:
-        raise NegativeDensity(f"density fell to {np.min(rho):.3e}")
-
-
 def velocity_jacobian(v):
     """d[i, j] = partial_i v_j of a velocity field of shape (2, nx, ny)."""
     v = np.asarray(v, dtype=float)
@@ -174,8 +166,9 @@ def viscous_stress(eta_H, Gamma_H, ell, dv, mode):
     return T
 
 
-def _stress(rho, ell, dv, params, mode, coefs):
-    """Full stress T_ij from the grid density (and deviation ``ell`` in the
+def stress_tensor(rho, ell, dv, params, mode, coefs):
+    """Full stress T_ij on the grid, shape (2, 2, nx, ny), of the "base" or
+    "extended" ``mode`` from the grid density (and deviation ``ell`` in the
     extended mode), the plain velocity Jacobian ``dv`` and ``coefs`` =
     params.coefficients(rho)."""
     eta, gam, ghat = coefs
@@ -189,17 +182,6 @@ def _stress(rho, ell, dv, params, mode, coefs):
     T[0, 0] -= p
     T[1, 1] -= p
     return T
-
-
-def stress_tensor(state, params, mode="base"):
-    """Full stress T_ij on the grid, shape (2, 2, nx, ny)."""
-    _check_state(state.rho, state.v, state.ell)
-    if mode not in ("base", "extended"):
-        raise ValueError(f"unknown stress mode {mode!r}")
-    if mode == "extended" and state.ell is None:
-        raise ValueError("extended stress needs the deviation field")
-    return _stress(state.rho, state.ell, velocity_jacobian(state.v), params, mode,
-                   params.coefficients(state.rho))
 
 
 def _stacked(first, rows, v):
@@ -243,8 +225,8 @@ def _flux_spectra(spec, params, mode, t, rest):
     coefs = params.coefficients(rho)
     div = dv[0, 0] + dv[1, 1]
     flux = np.empty((9 if extended else 6,) + shape)
-    flux[:4] = _stress(rho, ell, dv, params, "extended" if extended else "base",
-                       coefs).reshape((4,) + shape)
+    flux[:4] = stress_tensor(rho, ell, dv, params, "extended" if extended else "base",
+                             coefs).reshape((4,) + shape)
     if mode == "effective":
         # relaxation-limit pressure shift on T_00 and T_11; the stress is only
         # used dealiased
@@ -316,29 +298,16 @@ def _state_of(fields):
     return FluidState(rho=fields[0], v=fields[1:3], ell=fields[3] if len(fields) == 4 else None)
 
 
-def _rhs(state, params, mode):
-    """``spectral_rhs`` of a FluidState, as time derivatives on the grid.  The
-    grid fields are checked first, since transforming a non-finite field
-    warns."""
+def fluid_rhs(state, params, mode):
+    """Time derivatives on the grid, (rho_t, v_t) of the "base" or "effective"
+    system or (rho_t, v_t, dl_t) of the "extended" one: ``spectral_rhs`` of
+    a FluidState.  The effective system adds the relaxation-limit pressure
+    shift -(8/mu) Gamma_hat div v to the base one.  The grid fields are
+    checked first, since transforming a non-finite field warns."""
     fields = _fields(state, mode)
-    _check_state(state.rho, state.v, state.ell)
+    _check_finite(fields, mode == "extended")
     out = inverse(spectral_rhs(forward(fields, PLANE), params, mode), PLANE)
     return (out[0], out[1:3]) + ((out[3],) if mode == "extended" else ())
-
-
-def base_rhs(state, params):
-    """(rho_t, v_t) of the parity-breaking barotropic system."""
-    return _rhs(state, params, "base")
-
-
-def effective_rhs(state, params):
-    """Base system with the relaxation-limit pressure shift -(8/mu) Gamma_hat div v."""
-    return _rhs(state, params, "effective")
-
-
-def extended_rhs(state, params):
-    """(rho_t, v_t, dl_t) of the system with the relaxing deviation field."""
-    return _rhs(state, params, "extended")
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +343,14 @@ def rayleigh_dissipation(state, params):
     )
 
 
-def energy_rate(state, params, rhs_func):
-    """Discrete dH/dt (or dH_nu/dt) via the analytic variational derivatives.
+def energy_rate(state, params, mode):
+    """Discrete dH/dt (or dH_nu/dt) of the ``mode`` system via the analytic
+    variational derivatives.
 
     Pairs (|v|^2/2 + eps'(rho), rho v, dl/nu) with the state derivative, so
     the check is independent of the time integrator.
     """
-    out = rhs_func(state, params)
+    out = fluid_rhs(state, params, mode)
     rho_t, v_t = out[0], out[1]
     area = _cell_area(state.shape)
     rate = np.sum(
@@ -394,7 +364,7 @@ def energy_rate(state, params, rhs_func):
 
 def energy_balance_residual(state, params):
     """|dH_nu/dt + 2 R_mu| for the extended system (exact identity at nu=1)."""
-    return abs(energy_rate(state, params, extended_rhs) + 2.0 * rayleigh_dissipation(state, params))
+    return abs(energy_rate(state, params, "extended") + 2.0 * rayleigh_dissipation(state, params))
 
 
 def slaved_deviation(state, params):

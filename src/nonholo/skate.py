@@ -35,7 +35,8 @@ FULL_COLUMNS = ["x", "y", "theta", "xdot", "ydot", "thetadot"]
 FIG_INITIAL = dict(x=0.0, y=0.0, theta=np.pi / 4, v=1.0, omega=-10.0)
 
 
-def _reduced(s, g, mu):
+def reduced_rhs(s, g, mu):
+    """Interpolating family: d/dt (x, y, theta, omega, rho, lam), as floats."""
     x, y, theta, omega, rho, lam = s
     cs, sn = math.cos(theta), math.sin(theta)
     return [
@@ -48,20 +49,11 @@ def _reduced(s, g, mu):
     ]
 
 
-def reduced_rhs(s, g, mu):
-    """Interpolating family: d/dt (x, y, theta, omega, rho, lam)."""
-    return np.array(_reduced(s, g, mu))
-
-
-def _lda(s, g):
+def lda_rhs(s, g):
+    """No-work limit: d/dt (x, y, theta, omega, rho), as floats."""
     x, y, theta, omega, rho = s
     cs = math.cos(theta)
     return [rho * cs, rho * math.sin(theta), omega, 0.0, -g * cs]
-
-
-def lda_rhs(s, g):
-    """No-work limit: d/dt (x, y, theta, omega, rho)."""
-    return np.array(_lda(s, g))
 
 
 def lda_closed_form(theta0, omega0, rho0, g, t):
@@ -76,21 +68,9 @@ def lda_closed_form(theta0, omega0, rho0, g, t):
     return theta, rho
 
 
-def _regularized(s, g, nu, alpha):
-    x, y, theta, xd, yd, td = s
-    sn, cs = math.sin(theta), math.cos(theta)
-    phi = xd * sn - yd * cs
-    rho = xd * cs + yd * sn
-    b0 = -g - (phi / alpha) * sn - (phi * td / nu) * cs - (td * rho / nu) * sn
-    b1 = (phi / alpha) * cs + (td * rho / nu) * cs - (phi * td / nu) * sn
-    # M^{-1} b = b - n (n . b) / (1 + nu) for M = I + n n^T / nu and the unit
-    # vector n = (sin theta, -cos theta) (Sherman-Morrison)
-    k = (sn * b0 - cs * b1) / (1.0 + nu)
-    return [xd, yd, td, b0 - sn * k, b1 + cs * k, phi * rho / nu]
-
-
 def regularized_rhs(s, g, nu, alpha):
-    """Penalty-plus-friction system: d/dt (x, y, theta, xdot, ydot, thetadot).
+    """Penalty-plus-friction system: d/dt (x, y, theta, xdot, ydot, thetadot),
+    as floats.
 
     Accelerations solve M(theta) (xddot, yddot)^T = b with
     M = I + (1/nu) n n^T, n = (sin theta, -cos theta); thetaddot = phi rho/nu.
@@ -99,7 +79,15 @@ def regularized_rhs(s, g, nu, alpha):
     solve runs and no nu > 0 makes M singular; a solve would lose accuracy
     as cond(M) = 1 + 1/nu grows.
     """
-    return np.array(_regularized(s, g, nu, alpha))
+    x, y, theta, xd, yd, td = s
+    sn, cs = math.sin(theta), math.cos(theta)
+    phi = xd * sn - yd * cs
+    rho = xd * cs + yd * sn
+    b0 = -g - (phi / alpha) * sn - (phi * td / nu) * cs - (td * rho / nu) * sn
+    b1 = (phi / alpha) * cs + (td * rho / nu) * cs - (phi * td / nu) * sn
+    # M^{-1} b = b - n (n . b) / (1 + nu)
+    k = (sn * b0 - cs * b1) / (1.0 + nu)
+    return [xd, yd, td, b0 - sn * k, b1 + cs * k, phi * rho / nu]
 
 
 def skate_energy(x, omega, rho, g):
@@ -157,15 +145,15 @@ def integrate_skate(system, y0, g, t_span, stepper=None, mu=0.0, nu=None, alpha=
     """
     stepper = stepper or Stepper.rk4(1e-4)
     if system == "reduced":
-        rhs = lambda t, s: _reduced(s, g, mu)
+        rhs = lambda t, s: reduced_rhs(s, g, mu)
         columns = REDUCED_COLUMNS
     elif system == "lda":
-        rhs = lambda t, s: _lda(s, g)
+        rhs = lambda t, s: lda_rhs(s, g)
         columns = LDA_COLUMNS
     elif system == "regularized":
         if nu is None or alpha is None or nu <= 0 or alpha <= 0:
             raise ValueError("regularized system needs nu > 0 and alpha > 0")
-        rhs = lambda t, s: _regularized(s, g, nu, alpha)
+        rhs = lambda t, s: regularized_rhs(s, g, nu, alpha)
         columns = FULL_COLUMNS
     else:
         raise ValueError(f"unknown skate system {system!r}")

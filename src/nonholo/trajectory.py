@@ -7,9 +7,10 @@ printed with 17 significant digits so 64-bit floats round-trip bit-exactly,
 LF line endings, '.' decimal separator.  SVGs draw planar curves on one
 800x600 canvas with an equal-aspect map over all of them.
 
-Each format has one writer, ``write_*(fh, ...)``, that streams the artifact
-to an open binary file a chunk of rows at a time; ``csv_bytes``, ``to_csv``,
-``svg_bytes`` and ``to_svg`` return the same bytes through ``render``.
+Each format has one writer, ``write_csv(fh, ...)`` and ``write_svg(fh, ...)``,
+that streams the artifact to an open binary file a chunk of rows at a time;
+``render`` returns the bytes of any writer, and ``to_csv``/``to_svg`` are
+those of a trajectory.
 """
 
 import io
@@ -101,11 +102,6 @@ def write_csv(fh, header, columns):
         fh.write(b"".join([line % tuple(row) for row in chunk.tolist()]))
 
 
-def csv_bytes(header, block):
-    """CSV of a 2-D float block under the column names ``header``."""
-    return render(write_csv, header, [block])
-
-
 def write_traj_csv(fh, traj):
     """Write the trajectory's CSV: t, the state columns, the ledger columns."""
     write_csv(fh, ["t", *traj.columns, *traj.ledger],
@@ -163,11 +159,6 @@ def write_svg(fh, curves, title=None, axes=False, styles=None):
             style = styles[i] if styles else ""
             fh.write(f'" fill="none" stroke="steelblue"{style}/>'.encode("ascii"))
     fh.write(b"\n</svg>")
-
-
-def svg_bytes(curves, title=None, axes=False, styles=None):
-    """Standalone SVG of planar curves; see ``write_svg``."""
-    return render(write_svg, curves, title, axes, styles)
 
 
 def write_traj_svg(fh, traj, x_col, y_col, title=None):

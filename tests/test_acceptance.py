@@ -42,9 +42,7 @@ from nonholo.numkit import Stepper
 from nonholo.oddfluid import (
     FluidParams,
     FluidState,
-    base_rhs,
-    effective_rhs,
-    extended_rhs,
+    fluid_rhs,
     integrate_fluid,
 )
 from nonholo.skate import (
@@ -325,8 +323,8 @@ def test_12_odd_fluid_energy_accounting():
                          Gamma_H=lambda r: 0.0 * r)
     st = _fluid_state(32, with_ell=True)
     st.ell[:] = 0.0
-    rb = base_rhs(FluidState(rho=st.rho, v=st.v), params)
-    re = extended_rhs(st, params)
+    rb = fluid_rhs(FluidState(rho=st.rho, v=st.v), params, "base")
+    re = fluid_rhs(st, params, "extended")
     ok = ok and np.abs(rb[0] - re[0]).max() < 1e-12
     ok = ok and np.abs(rb[1] - re[1]).max() < 1e-12
     ok = ok and np.abs(re[2]).max() < 1e-12
@@ -334,8 +332,8 @@ def test_12_odd_fluid_energy_accounting():
     st = _fluid_state(32)
     gaps = []
     for mu in (10.0, 100.0):
-        re = effective_rhs(st, _fluid_params(mu=mu))
-        rb = base_rhs(st, _fluid_params(mu=mu))
+        re = fluid_rhs(st, _fluid_params(mu=mu), "effective")
+        rb = fluid_rhs(st, _fluid_params(mu=mu), "base")
         gaps.append(max(np.abs(re[0] - rb[0]).max(), np.abs(re[1] - rb[1]).max()))
     ok = ok and gaps[0] > 0 and abs(gaps[0] / gaps[1] - 10.0) < 0.5
     verdict(12, "fluid energy conservation, balance, collapse, and 1/mu rate", ok)

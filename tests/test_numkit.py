@@ -119,6 +119,36 @@ class TestSteppers:
         assert len(times) == len(states) == steppers.record_rows(t_span, dt, record_every)
         assert states.base.shape[0] == len(states)  # no row allocated that is not recorded
 
+    @pytest.mark.parametrize("t0, t1, dt, nsteps", [(0.0, 0.3, 0.1, 3), (-1.0, 0.7, 0.1, 17),
+                                                    (2.0, 2.3, 0.01, 30), (0.5, -0.4, -0.1, 9)])
+    @pytest.mark.parametrize("floats", [True, False], ids=["float-loop", "array-loop"])
+    def test_a_span_of_whole_steps_takes_full_steps_only(self, t0, t1, dt, nsteps, floats):
+        # t0 + nsteps dt lands on t1 within the landing tolerance (the first two
+        # cases miss its last bits), so every step is a full step of dt; a last
+        # step shortened to t1 - t would differ from dt in its last bits
+        field = lambda t, y: [math.cos(t) * y[1], -y[0]]
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return field(t, y) if floats else np.array(field(t, y))
+
+        times, states = integrate(rhs, [1.0, 0.5], (t0, t1), Stepper.rk4(dt))
+        f = lambda t, y: np.array(field(t, y))
+        y, want = np.array([1.0, 0.5]), []
+        for i in range(nsteps):
+            t = t0 + i * dt
+            want += [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+            k4 = f(t + dt, y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert len(calls) == 4 * nsteps and calls == want
+        assert len(times) == nsteps + 1 and times[-1] == t1
+        assert np.array_equal(times[1:-1], t0 + np.arange(1, nsteps) * dt)
+        assert states[-1].tobytes() == y.tobytes()
+
 
 class TestJetJacobians:
     """The linear coefficients of a field's degree-1 jet are its Jacobian."""
@@ -294,10 +324,18 @@ def jet_sets(draw, count=2, vector=False, min_deg=0):
         coef = draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * size, max_size=rows * size))
         coef = np.array(coef).reshape(rows, size)
         if vector:
-            # vanishing, constant and affine rows take the shortcuts of derivative_along
-            kind = draw(st.sampled_from(["zero", "constant", "affine", "full"]))
-            keep = {"zero": 0, "constant": 1, "affine": nvars + 1, "full": size}[kind]
-            coef[draw(st.lists(st.integers(0, rows - 1), unique=True)), keep:] = 0.0
+            # vanishing, constant and affine rows take the shortcuts of
+            # derivative_along; each row depends on its own subset of the
+            # variables, and the jet is at most linear in some of them, so
+            # that d/dx_j of it is constant where another jet's rows vary
+            exps = monomials(nvars, deg)
+            for row in coef:
+                kind = draw(st.sampled_from(["zero", "constant", "affine", "full"]))
+                row[{"zero": 0, "constant": 1, "affine": nvars + 1, "full": size}[kind]:] = 0.0
+                absent = draw(st.lists(st.integers(0, nvars - 1), unique=True))
+                row[exps[:, absent].any(axis=1)] = 0.0
+            linear = draw(st.lists(st.integers(0, nvars - 1), unique=True))
+            coef[:, exps[:, linear].any(axis=1) & (exps.sum(axis=1) > 1)] = 0.0
         out.append(Jet(nvars, deg, coef if vector else coef[0]))
     return out
 
@@ -332,6 +370,10 @@ class TestJet:
         _assert_matches(a.reciprocal(), _ref_reciprocal(a))
 
     @given(jet_sets(vector=True, min_deg=1))
+    # field (x_1, x_0) along f = (x_0, x_1): each df_i/dx_j is constant, each
+    # field component varies
+    @example([Jet(2, 2, np.array([[0.0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]])),
+              Jet(2, 2, np.array([[0.0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]))])
     @settings(max_examples=60, deadline=None)
     def test_derivative_along_matches_naive_expansion(self, pair):
         field, f = pair

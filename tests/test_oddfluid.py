@@ -10,14 +10,12 @@ from nonholo.numkit import Stepper
 from nonholo.oddfluid import (
     FluidParams,
     FluidState,
-    base_rhs,
     coefficient_and_derivative,
-    effective_rhs,
     energy_balance_residual,
     energy_rate,
     extended_energy,
-    extended_rhs,
     fluid_energy,
+    fluid_rhs,
     integrate_fluid,
     rayleigh_dissipation,
     slaved_deviation,
@@ -53,6 +51,12 @@ def smooth_state(n=64, with_ell=False, amp_v=0.1):
     return FluidState(rho=rho, v=v, ell=ell)
 
 
+def stress(state, params, mode):
+    """The stress tensor of a FluidState on the grid."""
+    return stress_tensor(state.rho, state.ell, velocity_jacobian(state.v), params, mode,
+                         params.coefficients(state.rho))
+
+
 def test_coefficient_derivative_exact():
     r = np.linspace(0.5, 2.0, 7)
     val, der = coefficient_and_derivative(lambda x: 0.3 * x * x + 2.0, r)
@@ -73,8 +77,8 @@ def test_float_coefficients_match_their_constant_functions_bit_for_bit(eta, gamm
     floats = FluidParams(eta_H=eta + 0.0, Gamma_H=gamma + 0.0, mu=2.0, nu=0.5)
     jets = FluidParams(eta_H=lambda r: eta + 0.0 * r, Gamma_H=lambda r: gamma + 0.0 * r,
                        mu=2.0, nu=0.5)
-    for rhs in (base_rhs, effective_rhs, extended_rhs):
-        for a, b in zip(rhs(state, floats), rhs(state, jets)):
+    for mode in ("base", "effective", "extended"):
+        for a, b in zip(fluid_rhs(state, floats, mode), fluid_rhs(state, jets, mode)):
             assert a.tobytes() == b.tobytes()
 
 
@@ -92,18 +96,18 @@ def test_uniform_state_stress_and_rhs():
     n = 32
     st = FluidState(rho=np.ones((n, n)), v=np.zeros((2, n, n)))
     params = generic_params()
-    T = stress_tensor(st, params, "base")
+    T = stress(st, params, "base")
     p = params.pressure(np.ones((n, n)))
     assert np.allclose(T[0, 0], -p) and np.allclose(T[1, 1], -p)
     assert np.allclose(T[0, 1], 0.0) and np.allclose(T[1, 0], 0.0)
-    rho_t, v_t = base_rhs(st, params)
+    rho_t, v_t = fluid_rhs(st, params, "base")
     assert np.max(np.abs(rho_t)) < 1e-14 and np.max(np.abs(v_t)) < 1e-14
 
 
 def test_zero_coefficients_give_plain_pressure_stress():
     st = smooth_state(32)
     params = FluidParams(eos=("isothermal", 1.0))
-    T = stress_tensor(st, params, "base")
+    T = stress(st, params, "base")
     p = params.pressure(st.rho)
     assert np.allclose(T[0, 0], -p) and np.allclose(T[1, 1], -p)
     assert np.allclose(T[0, 1], 0.0) and np.allclose(T[1, 0], 0.0)
@@ -116,7 +120,7 @@ def test_shear_stress_matches_index_contraction_oracle():
     X, Y = mesh(n)
     st = FluidState(rho=np.ones((n, n)), v=np.stack([np.sin(Y), np.zeros((n, n))]))
     params = FluidParams(eos=("isothermal", 1.0), eta_H=lambda r: 0.2 * r)
-    T = stress_tensor(st, params, "base")
+    T = stress(st, params, "base")
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
     dv = velocity_jacobian(st.v)
     expected = np.zeros_like(T)
@@ -143,7 +147,7 @@ def test_base_energy_rate_vanishes_for_any_coefficients():
         )
         st = smooth_state(32)
         H = fluid_energy(st, params)
-        assert abs(energy_rate(st, params, base_rhs)) < 1e-10 * abs(H)
+        assert abs(energy_rate(st, params, "base")) < 1e-10 * abs(H)
 
 
 def test_acoustic_frequency_matches_sound_speed():
@@ -209,8 +213,8 @@ def test_gamma_hat_zero_collapse():
     assert np.max(np.abs(params.coefficients(np.linspace(0.5, 2, 9))[2])) < 1e-14
     st = smooth_state(32, with_ell=True)
     st.ell[:] = 0.0
-    rb = base_rhs(FluidState(rho=st.rho, v=st.v), params)
-    re = extended_rhs(st, params)
+    rb = fluid_rhs(FluidState(rho=st.rho, v=st.v), params, "base")
+    re = fluid_rhs(st, params, "extended")
     assert np.max(np.abs(rb[0] - re[0])) < 1e-12
     assert np.max(np.abs(rb[1] - re[1])) < 1e-12
     assert np.max(np.abs(re[2])) < 1e-12
@@ -221,8 +225,8 @@ def test_effective_approaches_base_at_rate_one_over_mu():
     gaps = []
     for mu in (10.0, 100.0):
         params = generic_params(mu=mu)
-        re = effective_rhs(st, params)
-        rb = base_rhs(st, params)
+        re = fluid_rhs(st, params, "effective")
+        rb = fluid_rhs(st, params, "base")
         gaps.append(max(np.max(np.abs(re[0] - rb[0])), np.max(np.abs(re[1] - rb[1]))))
     assert gaps[0] > 0
     assert abs(gaps[0] / gaps[1] - 10.0) < 0.5
@@ -276,16 +280,24 @@ def test_small_nu_limit_exists_and_gap_to_shifted_pressure_is_reported():
 def test_negative_density_raises():
     n = 32
     st = FluidState(rho=np.full((n, n), 1e-7), v=np.zeros((2, n, n)))
-    with pytest.raises(NegativeDensity):
-        base_rhs(st, generic_params())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NegativeDensity, match="^density fell to 1.000e-07$"):
+            fluid_rhs(st, generic_params(), "base")
+        # the integrator names the time of the evaluation that failed
+        with pytest.raises(NegativeDensity, match="^density fell to 1.000e-07 at t = 0.0$"):
+            integrate_fluid("base", st, generic_params(), (0, 0.01), Stepper.rk4(1e-3))
 
 
 def test_nonfinite_state_raises():
+    # the grid fields are checked before they are transformed, which would warn
     n = 32
     v = np.zeros((2, n, n))
     v[0, 0, 0] = np.nan
-    with pytest.raises(NonFinite):
-        base_rhs(FluidState(rho=np.ones((n, n)), v=v), generic_params())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^fluid state contains non-finite entries$"):
+            fluid_rhs(FluidState(rho=np.ones((n, n)), v=v), generic_params(), "base")
 
 
 @pytest.mark.parametrize("system, field, message", [
@@ -306,7 +318,9 @@ def test_nonfinite_initial_state_raises_before_any_transform(system, field, mess
 
 def test_extended_requires_deviation_field():
     st = smooth_state(32)
-    with pytest.raises(ValueError):
-        extended_rhs(st, generic_params())
-    with pytest.raises(ValueError):
-        stress_tensor(st, generic_params(), "extended")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="needs the deviation field"):
+            fluid_rhs(st, generic_params(), "extended")
+        with pytest.raises(ValueError, match="needs the deviation field"):
+            integrate_fluid("extended", st, generic_params(), (0, 0.01), Stepper.rk4(1e-3))

@@ -31,22 +31,22 @@ from hypothesis import strategies as st
 from nonholo.camassaholm import ch_rhs
 from nonholo.distributions import cartan_distribution, cartan_form_residuals
 from nonholo.driving import axle_residuals, rig_distribution, rig_rhs, sine_control
-from nonholo.liealg import eps_rhs
+from nonholo.liealg import constrained_flow, euler_arnold_rhs
 from nonholo.loopgroup import binormal_rhs, ll_rhs
-from nonholo.masstransport import burgers_rhs, gradient, hj_rhs
+from nonholo.masstransport import burgers_spectral_rhs, gradient, hj_spectral_rhs
 from nonholo.numkit import spectral_derivative
 from nonholo.numkit.spectral import helmholtz_inverse
 from nonholo.oddfluid import (
     FluidParams,
     FluidState,
-    base_rhs,
-    effective_rhs,
     energy_balance_residual,
     energy_rate,
-    extended_rhs,
+    fluid_rhs,
     velocity_jacobian,
 )
 from nonholo.skate import reduced_energy_rate, regularized_energy_rate, regularized_rhs
+
+from lift import on_grid
 
 EPS = np.finfo(float).eps
 # rounding in the subnormal range is absolute, not relative
@@ -139,7 +139,8 @@ def test_constrained_flow_keeps_every_pairing(A, a, m):
     gram = a @ Ainv @ a.T
     cond = np.linalg.cond(gram)
     assume(cond <= 1e8)
-    mdot, _ = eps_rhs(m, A, a)
+    P, _, _ = constrained_flow(A, a)
+    mdot = P @ euler_arnold_rhs(m, Ainv)
     free = np.cross(m, Ainv @ m)
     # 1-norms: squares of tiny entries would underflow
     scale = EPS * cond * np.abs(free).sum()
@@ -341,16 +342,16 @@ MT_TOL = 8 * EPS
 @SETTINGS
 def test_base_fluid_conserves_energy(case):
     state, params = case
-    rate = energy_rate(state, params, base_rhs)
-    assert abs(rate) <= FLUID_TOL * rate_scale(state, params, base_rhs(state, params)) + TINY
+    rate, out = energy_rate(state, params, "base"), fluid_rhs(state, params, "base")
+    assert abs(rate) <= FLUID_TOL * rate_scale(state, params, out) + TINY
 
 
 @given(fluid_cases(with_ell=False))
 @SETTINGS
 def test_effective_fluid_loses_energy_to_the_pressure_shift(case):
     state, params = case
-    rate, shift = energy_rate(state, params, effective_rhs), dilatation_rate(state, params)
-    scale = rate_scale(state, params, effective_rhs(state, params)) + abs(shift)
+    rate, shift = energy_rate(state, params, "effective"), dilatation_rate(state, params)
+    scale = rate_scale(state, params, fluid_rhs(state, params, "effective")) + abs(shift)
     assert abs(rate - shift) <= FLUID_TOL * scale + TINY
 
 
@@ -359,17 +360,19 @@ def test_effective_fluid_loses_energy_to_the_pressure_shift(case):
 def test_extended_fluid_balances_energy_and_dissipation(case):
     state, params = case
     residual = energy_balance_residual(state, params)
-    assert residual <= FLUID_TOL * rate_scale(state, params, extended_rhs(state, params)) + TINY
+    out = fluid_rhs(state, params, "extended")
+    assert residual <= FLUID_TOL * rate_scale(state, params, out) + TINY
 
 
 @given(st.sampled_from([16, 32]), seeds, scales(-3.0, 3.0))
 @SETTINGS
 def test_advected_gradient_is_the_gradient_of_the_potential_rate(n, seed, scale):
-    # u = grad f stays a gradient: burgers_rhs(grad f) = grad hj_rhs(f) exactly
+    # u = grad f stays a gradient: the Burgers rate of grad f is the gradient of
+    # the Hamilton-Jacobi rate of f exactly
     # under the 2/3 mask, whose kept modes are free of aliasing
     f = scale * plane(np.random.default_rng(seed), n, n // 3)
     u = gradient(f)
-    got, want = burgers_rhs(u), gradient(hj_rhs(f))
+    got, want = on_grid(burgers_spectral_rhs)(u), gradient(on_grid(hj_spectral_rhs)(f))
     # relative to the scale of the products u_i D_i u_j that the rhs sums
     bound = MT_TOL * np.max(np.abs(u)) * np.max(np.abs(velocity_jacobian(u)))
     assert np.max(np.abs(got - want)) <= bound + TINY

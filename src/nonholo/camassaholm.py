@@ -33,14 +33,14 @@ def helmholtz_apply(u):
 def ch_rhs(m, kappa=0.0):
     """m_t = -(2 u_x m + u m_x) - kappa u_x with dealiased products."""
     m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFinite("momentum field contains non-finite entries")
     t = table(m.shape)  # [M, i k M, i k]
     mh = forward(m)
     uh = mh / helmholtz_symbol(len(m))
     (md, mxd), (ud, uxd) = inverse(t[:2] * np.stack([mh, uh])[:, None])
     out = inverse(t[0] * forward(-(2.0 * uxd * md + ud * mxd)) - kappa * t[2] * uh)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite("blow-up in the momentum derivative")
     return out
 

@@ -22,7 +22,7 @@ def _check_loop(F, name):
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[1] != 3:
         raise ValueError(f"{name} must have shape (n, 3)")
-    if not np.all(np.isfinite(F)):
+    if not np.isfinite(F).all():
         raise NonFinite(f"{name} contains non-finite entries")
     return F
 

@@ -2,23 +2,32 @@
 half spectrum, Fourier-multiplier derivatives, 2/3-rule dealiasing, the
 Helmholtz inverse and the aliased-tail energy.
 
-This is the only module that transforms a field.  It calls the real
-transforms (``rfft``/``irfft`` in 1-D, ``rfft2``/``irfft2`` in 2-D) and, for
-the pruned 2-D pair, ``fft``/``ifft`` along axis -2 of a half spectrum.  Grids
-are uniform with power-of-two sample counts; on a 1-D grid node j sits at
-j * length / n, and 2-D fields live on [0, 2 pi)^2.  ``forward`` and
-``inverse`` act along one axis (1-D) or over ``PLANE`` (2-D); other axes
-stack fields, so one call transforms them all.  Per grid one cached read-only
-``table``, built on first use, holds the half-spectrum 2/3 mask M and the
-first-derivative multipliers, dealiased (i k M, the mask folded in) and plain
-(i k).  So one forward transform of a field gives every dealiased derivative
-and the dealiased field, and a product is dealiased by masking its spectrum
-once, together with any derivative taken of it.  Results agree with full
-complex transforms to round-off, not bit for bit.
+This is the only module that transforms a field.  It calls pocketfft's
+gufuncs directly (``numpy.fft._pocketfft_umath``: ``rfft_n_even``/
+``rfft_n_odd``, ``irfft``, ``fft`` and ``ifft``, each with the signature
+``(n),()->(m)``, which ship with numpy >= 2.0), one 1-D pass at a time
+through ``_pass``, with numpy.fft's default scale: 1 forward, 1/n inverse.
+That is numpy.fft's own call without its Python wrapper, which on the small
+1-D loops costs as much as the transform, so every result is the one
+``numpy.fft`` gives, bit for bit.  The gufuncs are looked up through
+``np.fft`` at call time, and numpy imports numpy.fft on first use, so a run
+that transforms nothing never loads it.  Over ``PLANE`` a forward transform is a
+row ``rfft`` then a column ``fft`` and an inverse one a column ``ifft`` then
+a row ``irfft``: numpy's ``rfftn``/``irfftn`` order.  Grids are uniform with
+power-of-two sample counts; on a 1-D grid node j sits at j * length / n, and
+2-D fields live on [0, 2 pi)^2.  ``forward`` and ``inverse`` act along one
+axis (1-D) or over ``PLANE`` (2-D); other axes stack fields, so one call
+transforms them all.  Per grid one cached read-only ``table``, built on first
+use, holds the half-spectrum 2/3 mask M and the first-derivative
+multipliers, dealiased (i k M, the mask folded in) and plain (i k).  So one
+forward transform of a field gives every dealiased derivative and the
+dealiased field, and a product is dealiased by masking its spectrum once,
+together with any derivative taken of it.  Results agree with full complex
+transforms to round-off, not bit for bit.
 
 A 2-D spectrum that is only used masked needs only its ``kept`` columns
-kx <= n//3: ``forward_pruned`` runs the axis -2 pass of ``rfft2`` on those
-columns alone, and ``inverse_pruned`` runs the axis -2 pass of ``irfft2`` on
+kx <= n//3: ``forward_pruned`` runs the column pass of ``forward`` on those
+columns alone, and ``inverse_pruned`` runs the column pass of ``inverse`` on
 them into a half spectrum whose other columns are zero (FFT pruning:
 Markel, IEEE Trans. Audio Electroacoust. 19(4), 1971; Sorensen and Burrus,
 IEEE Trans. Signal Process. 41(3), 1993).  Each 1-D transform sees the data
@@ -51,15 +60,54 @@ def _readonly(a):
     return a
 
 
+def _pass(ufunc, a, axis, n_out, dtype, backward=False, out=None):
+    """One pass of pocketfft's gufunc ``ufunc`` along ``axis`` of the array
+    ``a``, scaled as numpy.fft scales it (1 forward, 1/n_out inverse): the
+    result goes into ``out``, or into a new ``dtype`` array laid out like
+    ``a`` with ``n_out`` points along ``axis``.  An empty transform raises
+    ``ValueError``, as in numpy.fft."""
+    if min(a.shape[axis], n_out) < 1:
+        raise ValueError(f"no FFT data points along axis {axis} of shape {a.shape}")
+    if out is None:
+        shape = list(a.shape)
+        shape[axis] = n_out
+        out = np.empty_like(a, dtype, shape=shape)
+    return ufunc(a, 1.0 / n_out if backward else 1.0, axes=[(axis,), (), (axis,)], out=out)
+
+
+def _rfft(values, axis):
+    n = values.shape[axis]
+    gufuncs = np.fft._pocketfft_umath
+    return _pass(gufuncs.rfft_n_odd if n % 2 else gufuncs.rfft_n_even, values, axis,
+                 n // 2 + 1, complex)
+
+
+def _irfft(spec, axis, n=None):
+    n = 2 * (spec.shape[axis] - 1) if n is None else n
+    return _pass(np.fft._pocketfft_umath.irfft, spec, axis, n, float, backward=True)
+
+
+def _fft(spec, axis, backward=False, out=None):
+    gufuncs = np.fft._pocketfft_umath
+    return _pass(gufuncs.ifft if backward else gufuncs.fft, spec, axis, spec.shape[axis],
+                 complex, backward, out)
+
+
 def forward(values, axes=-1):
     """Half spectrum of real ``values`` along one axis (an int), or over a
     tuple of two axes such as ``PLANE``."""
-    return np.fft.rfft2(values, axes=axes) if isinstance(axes, tuple) else np.fft.rfft(values, axis=axes)
+    values = np.asarray(values)
+    if not isinstance(axes, tuple):
+        return _rfft(values, axes)
+    return _fft(_rfft(values, axes[1]), axes[0])
 
 
 def inverse(spec, axes=-1):
     """Real values whose half spectrum along ``axes`` (as in ``forward``) is ``spec``."""
-    return np.fft.irfft2(spec, axes=axes) if isinstance(axes, tuple) else np.fft.irfft(spec, axis=axes)
+    spec = np.asarray(spec)
+    if not isinstance(axes, tuple):
+        return _irfft(spec, axes)
+    return _irfft(_fft(spec, axes[0], backward=True), axes[1])
 
 
 @lru_cache(maxsize=64)
@@ -84,8 +132,9 @@ def table(shape):
 
 
 @lru_cache(maxsize=256)
-def _multipliers(n, length, orders):
-    """(i k)^p on the half spectrum for each p in ``orders``, stacked; odd
+def _multipliers(n, length, orders, axis, ndim):
+    """(i k)^p on the half spectrum for each p in ``orders``, stacked on a
+    leading axis and shaped to broadcast along ``axis`` of an ndim-array; odd
     orders zero the Nyquist mode."""
     if not set(orders) <= {1, 2, 3}:
         raise ValueError("derivative order must be 1, 2, or 3")
@@ -93,7 +142,7 @@ def _multipliers(n, length, orders):
     ik = 1j * (TWO_PI / length) * np.fft.rfftfreq(n, 1.0 / n)
     mult = np.stack([ik**p for p in orders])
     mult[:, -1] *= [p % 2 == 0 for p in orders]
-    return _readonly(mult)
+    return _readonly(_along(mult, axis, ndim))
 
 
 def _along(tab, axis, ndim):
@@ -108,7 +157,7 @@ def spectral_derivatives(values, orders, length=TWO_PI, axis=0):
     """Derivatives of each order in ``orders`` (1, 2 or 3) along ``axis``,
     stacked on a new first axis, from one forward and one inverse transform."""
     values = np.asarray(values, dtype=float)
-    mult = _along(_multipliers(values.shape[axis], length, tuple(orders)), axis, values.ndim)
+    mult = _multipliers(values.shape[axis], length, tuple(orders), axis, values.ndim)
     return inverse(mult * forward(values, axis), axis + 1 if axis >= 0 else axis)
 
 
@@ -131,7 +180,7 @@ def kept(n):
 
 def forward_pruned(values):
     """``forward(values, PLANE)`` on the ``kept`` columns alone."""
-    return np.fft.fft(np.fft.rfft(values, axis=-1)[..., kept(values.shape[-1])], axis=-2)
+    return _fft(_rfft(values, -1)[..., kept(values.shape[-1])], -2)
 
 
 def inverse_pruned(spec, n):
@@ -140,10 +189,10 @@ def inverse_pruned(spec, n):
 
     The column pass writes into a zeroed half spectrum: ``irfft`` also pads
     a short input itself, but that path is slower, at 128^2 slower than the
-    full ``irfft2``."""
+    full inverse."""
     padded = np.zeros(spec.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    np.fft.ifft(spec, axis=-2, out=padded[..., : spec.shape[-1]])
-    return np.fft.irfft(padded, n=n, axis=-1)
+    _fft(spec, -2, backward=True, out=padded[..., : spec.shape[-1]])
+    return _irfft(padded, -1, n)
 
 
 def all_finite(a):

@@ -37,7 +37,7 @@ class Stepper:
 
 
 def _check_finite(y, what):
-    ok = all(map(math.isfinite, y)) if isinstance(y, list) else np.all(np.isfinite(y))
+    ok = all(map(math.isfinite, y)) if isinstance(y, list) else np.isfinite(y).all()
     if not ok:
         raise NonFinite(f"non-finite values in {what}")
 

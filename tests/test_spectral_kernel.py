@@ -8,11 +8,14 @@ check allows ``BOUND`` times the reference's largest magnitude.  The
 exactness properties need no reference: derivatives of trigonometric
 polynomials inside the 2/3 mask, dealiasing of band-limited fields and of
 the modes outside the mask, and the Nyquist mode under odd derivatives.
-``test_only_the_kernel_transforms`` checks that every ``numpy.fft`` call of
-the PDE systems comes from the kernel and is a real transform or a pruned
-pass along axis -2 of a half spectrum; the pruned pair equals the full
-transforms on the kept columns bit for bit.  The CSV writer is compared byte
-for byte with per-value formatting.
+``test_only_the_kernel_transforms`` checks that every transform of the PDE
+systems is a pass of the kernel's ``_pass`` helper, called from the kernel,
+that the column passes run along axis -2 of a half spectrum, and that no
+``numpy.fft`` function runs; the pruned pair equals the full transforms on
+the kept columns bit for bit.  ``TestNumpyContract`` pins the kernel's direct
+calls of pocketfft's gufuncs to ``numpy.fft`` byte for byte, and
+``PASSES_PER_RHS`` pins the passes of each right-hand side.  The CSV writer
+is compared byte for byte with per-value formatting.
 """
 
 import math
@@ -47,9 +50,11 @@ TWO_PI = 2.0 * np.pi
 # magnitude; 300-example runs of these strategies saw at most 1.9e-14
 # (Camassa-Holm and the odd fluid against their references)
 BOUND = 1e-12
-REAL_TRANSFORMS = {"rfft", "irfft", "rfft2", "irfft2"}
-# the column passes of the pruned pair, along axis -2 of a half spectrum
-COLUMN_TRANSFORMS = {"fft", "ifft"}
+# the gufuncs of the row passes, and of the column passes along axis -2 of a
+# half spectrum; the grids are powers of two, so rfft_n_odd never runs
+ROW_PASSES = {"rfft_n_even", "irfft"}
+COLUMN_PASSES = {"fft", "ifft"}
+GUFUNCS = ("rfft_n_even", "rfft_n_odd", "irfft", "fft", "ifft")
 FFT_FUNCTIONS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2",
                  "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
@@ -316,7 +321,7 @@ class TestSharedTransforms:
         assert_close(spectral.tail_fractions(forward(f, PLANE)), ref_tail_fraction(f))
 
     def test_cached_tables_are_read_only(self):
-        tables = [table((16,)), table((8, 16)), spectral._multipliers(16, 3.0, (1, 2)),
+        tables = [table((16,)), table((8, 16)), spectral._multipliers(16, 3.0, (1, 2), 0, 2),
                   spectral.helmholtz_symbol(16)]
         for t in tables:
             assert not t.flags.writeable
@@ -342,18 +347,29 @@ class TestSharedTransforms:
                               inverse(mask * spec, PLANE))
 
     def test_only_the_kernel_transforms(self, monkeypatch):
-        # wrapped on the numpy.fft module, as the benchmark's tracer counts them
-        callers = []
+        # every pass at the kernel's helper, every gufunc call and every
+        # numpy.fft call, each wrapped where the kernel looks it up at call time
+        passes, gufunc_calls, numpy_calls = [], [], []
 
-        def wrap(name, fn):
-            def traced(a, *args, **kwargs):
-                column_pass = np.iscomplexobj(a) and kwargs.get("axis") == -2 and not args
-                callers.append((sys._getframe(1).f_globals["__name__"], name, column_pass))
-                return fn(a, *args, **kwargs)
+        def pass_(ufunc, a, axis, *args, **kwargs):
+            passes.append((sys._getframe(1).f_globals["__name__"], ufunc.__name__, axis,
+                           np.iscomplexobj(a)))
+            return traced_pass(ufunc, a, axis, *args, **kwargs)
+
+        def wrap(calls, name, fn):
+            def traced(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            traced.__name__ = name
             return traced
 
+        traced_pass = spectral._pass
+        monkeypatch.setattr(spectral, "_pass", pass_)
+        gufuncs = np.fft._pocketfft_umath
+        for name in GUFUNCS:
+            monkeypatch.setattr(gufuncs, name, wrap(gufunc_calls, name, getattr(gufuncs, name)))
         for name in FFT_FUNCTIONS:
-            monkeypatch.setattr(np.fft, name, wrap(name, getattr(np.fft, name)))
+            monkeypatch.setattr(np.fft, name, wrap(numpy_calls, name, getattr(np.fft, name)))
         span, stepper, n = (0.0, 2e-3), Stepper.rk4(1e-3), 16
         x = np.arange(n) * TWO_PI / n
         X, Y = np.meshgrid(x, x, indexing="ij")
@@ -372,10 +388,14 @@ class TestSharedTransforms:
             state = oddfluid.FluidState(rho=rho, v=v, ell=ell)
             oddfluid.integrate_fluid(system, state, params, span, stepper)
         oddfluid.slaved_deviation(state, params)
-        assert len(callers) > 100
-        assert {module for module, _, _ in callers} == {"nonholo.numkit.spectral"}
-        assert {name for _, name, _ in callers} == REAL_TRANSFORMS | COLUMN_TRANSFORMS
-        assert all(column_pass for _, name, column_pass in callers if name in COLUMN_TRANSFORMS)
+        assert len(passes) > 100
+        assert numpy_calls == []
+        # each gufunc call is one pass of the helper
+        assert gufunc_calls == [name for _, name, _, _ in passes]
+        assert {module for module, _, _, _ in passes} == {"nonholo.numkit.spectral"}
+        assert {name for _, name, _, _ in passes} == ROW_PASSES | COLUMN_PASSES
+        assert all(axis == -2 and spectrum for _, name, axis, spectrum in passes
+                   if name in COLUMN_PASSES)
 
     def test_frames_index_by_integer_only(self):
         specs = forward(field(3, (4, 2, 8, 8)), PLANE)
@@ -394,6 +414,152 @@ class TestSharedTransforms:
             spectral_derivative(np.zeros(12), 1)
         with pytest.raises(ValueError, match="power of two"):
             dealias_2d(np.zeros((8, 12)))
+
+
+# ---------------------------------------------------------------------------
+# the kernel's direct gufunc calls against numpy.fft, byte for byte
+
+
+@st.composite
+def stacks(draw, min_dims=1):
+    """(real array, one of its axes): 1 to 3 axes of 1 to 12 points, odd
+    lengths included, C-ordered or transposed."""
+    shape = tuple(draw(st.lists(st.integers(1, 12), min_size=min_dims, max_size=3)))
+    values = field(draw(seeds), shape, draw(scales))
+    if draw(st.booleans()):
+        values = values.T  # a layout numpy.fft keeps in its result
+    return values, draw(st.integers(-values.ndim, values.ndim - 1))
+
+
+def assert_bytes(got, want):
+    """Equal values, bit for bit, in equal layouts."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for order in ("C_CONTIGUOUS", "F_CONTIGUOUS"):
+        assert got.flags[order] == want.flags[order]
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same(ours, theirs):
+    """``ours()`` gives ``theirs()`` byte for byte, or both raise ``ValueError``
+    (a one-mode half spectrum has no real length to invert to)."""
+    try:
+        want = theirs()
+    except ValueError:
+        with pytest.raises(ValueError):
+            ours()
+    else:
+        assert_bytes(ours(), want)
+
+
+class TestNumpyContract:
+    """``_pass`` calls pocketfft's gufuncs as numpy.fft does, without its
+    wrapper; a numpy release that changes them fails here."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stack=stacks())
+    def test_one_axis(self, stack):
+        values, axis = stack
+        spec = np.fft.rfft(values, axis=axis)
+        assert_bytes(forward(values, axis), spec)
+        assert_same(lambda: inverse(spec, axis), lambda: np.fft.irfft(spec, axis=axis))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=stacks(min_dims=2))
+    def test_plane(self, stack):
+        values = stack[0]
+        spec = np.fft.rfft2(values)
+        assert_bytes(forward(values, PLANE), spec)
+        assert_same(lambda: inverse(spec, PLANE), lambda: np.fft.irfft2(spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n0=st.integers(1, 12), n1=pruned_sizes, fields=st.integers(1, 4), seed=seeds,
+           scale=scales)
+    def test_pruned_pair(self, n0, n1, fields, seed, scale):
+        values = field(seed, (fields, n0, n1), scale)
+        cols = kept(n1)
+        spec = forward_pruned(values)
+        assert_bytes(spec, np.fft.fft(np.fft.rfft(values)[..., cols], axis=-2))
+        assert spec.tobytes() == np.fft.rfft2(values)[..., cols].tobytes()
+        padded = np.zeros(spec.shape[:-1] + (n1 // 2 + 1,), dtype=complex)
+        padded[..., cols] = np.fft.ifft(spec, axis=-2)
+        got = inverse_pruned(spec, n1)
+        assert_bytes(got, np.fft.irfft(padded, n1, axis=-1))
+        # irfft2 transforms the zero columns too, which may give -0.0: equal values
+        full = np.zeros_like(padded)
+        full[..., cols] = spec
+        assert np.array_equal(got, np.fft.irfft2(full, s=(n0, n1)))
+
+    @pytest.mark.parametrize("shape, axes", [((0,), -1), ((3, 0), -1), ((0, 4), 0),
+                                              ((0, 4), PLANE), ((4, 0), PLANE)])
+    def test_an_empty_axis_raises_as_numpy_does(self, shape, axes):
+        fft = (np.fft.rfft2, np.fft.irfft2) if axes == PLANE else (np.fft.rfft, np.fft.irfft)
+        key = "axes" if axes == PLANE else "axis"
+        for ours, theirs, a in ((forward, fft[0], np.zeros(shape)),
+                                (inverse, fft[1], np.zeros(shape, dtype=complex))):
+            with pytest.raises(ValueError):
+                theirs(a, **{key: axes})
+            with pytest.raises(ValueError):
+                ours(a, axes)
+
+
+# transform passes of one rhs evaluation at n = 16, in order: the gufunc and the
+# shape of the array it transforms (PDE rhs modules and their integrators'
+# arguments; the oddfluid rhs is given ``outside_mask`` as its integrator does)
+PASSES_PER_RHS = {
+    "camassa-holm": [("rfft_n_even", (16,)), ("irfft", (2, 2, 9)), ("rfft_n_even", (16,)),
+                     ("irfft", (9,))],
+    "heisenberg": [("rfft_n_even", (16, 3)), ("irfft", (1, 9, 3))],
+    "binormal": [("rfft_n_even", (16, 3)), ("irfft", (2, 9, 3))],
+    "burgers": [("ifft", (3, 2, 16, 6)), ("irfft", (3, 2, 16, 9)), ("rfft_n_even", (2, 16, 16)),
+                ("fft", (2, 16, 6))],
+    "hamilton-jacobi": [("ifft", (2, 16, 6)), ("irfft", (2, 16, 9)), ("rfft_n_even", (16, 16)),
+                        ("fft", (16, 6))],
+    **{mode: [("ifft", (fields, 16, 6)), ("irfft", (fields, 16, 9)),
+              ("rfft_n_even", (fluxes, 16, 16)), ("fft", (fluxes, 16, 6)),
+              ("ifft", (2, 16, 6)), ("irfft", (2, 16, 9)), ("rfft_n_even", (2, 16, 16)),
+              ("fft", (2, 16, 6))]
+       for mode, fields, fluxes in (("base", 7, 6), ("effective", 7, 6), ("extended", 8, 9))},
+}
+
+
+def test_transform_passes_per_rhs_evaluation(monkeypatch):
+    log = []
+    traced_pass = spectral._pass
+
+    def pass_(ufunc, a, *args, **kwargs):
+        log.append((ufunc.__name__, a.shape))
+        return traced_pass(ufunc, a, *args, **kwargs)
+
+    n = 16
+    x = np.arange(n) * TWO_PI / n
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    f0 = np.cos(X) + np.sin(2.0 * Y)
+    uh, fh = forward(masstransport.gradient(f0), PLANE), forward(f0, PLANE)
+    params = oddfluid.FluidParams(eta_H=lambda r: 0.1 * r, Gamma_H=lambda r: 0.2 + 0.0 * r)
+
+    def fluid(mode):
+        ell = 0.1 * np.sin(X + Y) if mode == "extended" else None
+        state = oddfluid.FluidState(rho=1.0 + 0.1 * np.cos(X), v=np.stack([np.sin(Y), np.cos(X)]),
+                                    ell=ell)
+        spec = forward(oddfluid._fields(state, mode), PLANE)
+        rest = oddfluid.outside_mask(spec, mode)
+        return lambda: oddfluid.spectral_rhs(spec, params, mode, 0.0, rest)
+
+    rhs = {
+        "camassa-holm": lambda: camassaholm.ch_rhs(np.cos(x), 0.5),
+        "heisenberg": lambda: loopgroup.ll_rhs(loopgroup.magnon(n, 1, 0.3)),
+        "binormal": lambda: loopgroup.binormal_rhs(loopgroup.circle_curve(n, 2.0), 4.0 * np.pi),
+        "burgers": lambda: masstransport.burgers_spectral_rhs(uh),
+        "hamilton-jacobi": lambda: masstransport.hj_spectral_rhs(fh),
+        **{mode: fluid(mode) for mode in ("base", "effective", "extended")},
+    }
+    monkeypatch.setattr(spectral, "_pass", pass_)
+    counted = {}
+    for name, call in rhs.items():
+        log.clear()
+        call()
+        counted[name] = list(log)
+    assert counted == PASSES_PER_RHS
 
 
 # ---------------------------------------------------------------------------
